@@ -14,6 +14,14 @@ per probe; at the access counts our benchmarks reach the dict design is
 ~4x faster end to end (see docs/ARCHITECTURE.md, "Performance
 engineering").
 
+Background pollution (:meth:`SetAssocCache.pollute`, fed by the stress
+model in :mod:`.noise`) is lazy: lines bound for sets no operation has
+touched are queued with their LRU tick and installed only when an
+operation next touches their set (:meth:`SetAssocCache.settle`), or when
+the queue must be emptied (snapshot, memory cap).  Sets are independent
+and pollution fills are clean, so the replayed state -- every tag, LRU
+tick and eviction choice -- is the one installing at the tick leaves.
+
 Addresses are node-physical.  The cache works in units of *lines*
 (``line_addr = addr >> 6`` for 64-byte lines).
 """
@@ -22,10 +30,18 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from ..errors import MachineError
 
 LINE_SHIFT = 6
 LINE_BYTES = 1 << LINE_SHIFT
+
+#: Queued pollution lines one cache holds before installing them all
+#: (~10 bytes each, so ~5 MB).  The longest registered stress point
+#: (fig12 at 32 KiB) queues ~313k lines per node; a longer one installs
+#: the queue at the cap and goes on, instead of growing memory.
+PENDING_CAP_LINES = 1 << 19
 
 
 def line_of(addr: int) -> int:
@@ -54,7 +70,8 @@ class SetAssocCache:
 
     __slots__ = (
         "name", "size_bytes", "ways", "sets", "_set_mask", "_map",
-        "tags", "lru", "dirty", "_tick", "hits", "misses", "evictions",
+        "tags", "lru", "dirty", "_tick", "hits", "misses",
+        "_eager", "_queue", "_pend",
     )
 
     def __init__(self, name: str, size_bytes: int, ways: int):
@@ -82,12 +99,22 @@ class SetAssocCache:
         self._tick = 0
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
+        # Lazy pollution state (see pollute/settle).  ``_eager`` is None
+        # until the first pollute() after construction, restore or
+        # flush_all; then one byte per set, 1 = pollution installs at the
+        # tick.  ``_queue`` = (lines, set indexes, base ticks) with one
+        # row per pollute() call; ``_pend`` rows are queued.
+        self._eager: Optional[bytearray] = None
+        self._queue: Optional[tuple] = None
+        self._pend = 0
 
     # -- operations ---------------------------------------------------------
 
     def probe(self, line_addr: int) -> bool:
         """Presence test with no LRU side effects (used by DMA snoop)."""
+        eager = self._eager
+        if eager is not None and not eager[line_addr & self._set_mask]:
+            self.settle(line_addr, line_addr)
         return line_addr in self._map
 
     def access(self, line_addr: int, write: bool = False) -> bool:
@@ -96,6 +123,9 @@ class SetAssocCache:
         Returns True on hit.  Misses do NOT allocate — callers decide
         whether to ``install`` after fetching from the next level.
         """
+        eager = self._eager
+        if eager is not None and not eager[line_addr & self._set_mask]:
+            self.settle(line_addr, line_addr)
         way = self._map.get(line_addr)
         if way is None:
             self.misses += 1
@@ -115,6 +145,9 @@ class SetAssocCache:
         Returns (evicted_line_addr, evicted_dirty) or None.  Installing a
         line already present just refreshes it.
         """
+        eager = self._eager
+        if eager is not None and not eager[line_addr & self._set_mask]:
+            self.settle(line_addr, line_addr)
         self._tick = tick = self._tick + 1
         sidx = line_addr & self._set_mask
         way = self._map.get(line_addr)
@@ -140,7 +173,6 @@ class SetAssocCache:
             old_line = row[way]
             evicted = (old_line, self.dirty[sidx][way])
             del self._map[old_line]
-            self.evictions += 1
         row[way] = line_addr
         self._map[line_addr] = way
         self.lru[sidx][way] = tick
@@ -152,9 +184,10 @@ class SetAssocCache:
 
         Semantically identical to calling :meth:`install` once per element
         with ``dirty=False`` — same tick sequence, same eviction decisions —
-        but with the per-call attribute lookups hoisted.  Exists for the
-        stress workload's LLC-pollution loop, which installs tens of
-        millions of lines per noise-heavy figure.
+        but with the per-call attribute lookups hoisted.  The fill
+        primitive of lazy pollution: ``pollute`` and its replays install
+        through it.  Lines are taken as they are: a set with queued
+        pollution must be settled first.
         """
         tick = self._tick
         mask = self._set_mask
@@ -165,7 +198,6 @@ class SetAssocCache:
         lru = self.lru
         dirty = self.dirty
         ways = self.ways
-        evictions = 0
         ndirty = 0
         # Steady state for a polluted cache: every allocated set is full,
         # so the invalid-way scan below cannot find anything — skip it.
@@ -195,7 +227,6 @@ class SetAssocCache:
                     ndirty += 1
                     drow[way] = False
                 del mp[row[way]]
-                evictions += 1
             else:
                 # Invalid ways carry dirty=False (invalidate and snoop
                 # reset it), so only the eviction path must clear it.
@@ -205,11 +236,13 @@ class SetAssocCache:
             mp[line_addr] = way
             lrow[way] = tick
         self._tick = tick
-        self.evictions += evictions
         return ndirty
 
     def invalidate(self, line_addr: int) -> bool:
         """Drop a line if present; returns whether it was dirty."""
+        eager = self._eager
+        if eager is not None and not eager[line_addr & self._set_mask]:
+            self.settle(line_addr, line_addr)
         way = self._map.pop(line_addr, None)
         if way is None:
             return False
@@ -222,6 +255,7 @@ class SetAssocCache:
 
     def flush_all(self) -> int:
         """Invalidate everything; returns count of dirty lines dropped."""
+        self._discard()
         ndirty = sum(row.count(True) for row in self.dirty.values())
         self.tags.clear()
         self.dirty.clear()
@@ -231,16 +265,18 @@ class SetAssocCache:
 
     def snapshot(self) -> tuple:
         """Full replacement-state capture (tags/LRU/dirty/stats)."""
+        self._materialize()
         return (
             {s: row[:] for s, row in self.tags.items()},
             {s: row[:] for s, row in self.lru.items()},
             {s: row[:] for s, row in self.dirty.items()},
             dict(self._map),
-            self._tick, self.hits, self.misses, self.evictions,
+            self._tick, self.hits, self.misses,
         )
 
     def restore(self, snap: tuple) -> None:
-        tags, lru, dirty, amap, tick, hits, misses, evictions = snap
+        self._discard()
+        tags, lru, dirty, amap, tick, hits, misses = snap
         self.tags = {s: row[:] for s, row in tags.items()}
         self.lru = {s: row[:] for s, row in lru.items()}
         self.dirty = {s: row[:] for s, row in dirty.items()}
@@ -248,10 +284,149 @@ class SetAssocCache:
         self._tick = tick
         self.hits = hits
         self.misses = misses
-        self.evictions = evictions
+
+    # -- lazy pollution --------------------------------------------------------
+    #
+    # A set is *eager* once an operation has touched it since the last
+    # restore (or if it held a dirty line then): pollution bound for it
+    # installs at the tick.  Every other set's pollution waits in the
+    # queue.  Eager sets are a superset of the sets that can hold dirty
+    # lines -- only stash DMA dirties LLC lines, and it settles the sets
+    # it writes -- so every dirty eviction pollution causes is still
+    # reported at its own tick, and queued fills never evict a dirty line.
+
+    def pollute(self, line_addrs: np.ndarray) -> int:
+        """One tick of clean background fills, lazily.
+
+        Same result as ``install_many(line_addrs.tolist())``: the LRU
+        clock advances by ``len(line_addrs)`` (line ``i`` owns tick
+        ``_tick + i + 1``) and the return value counts dirty evictions.
+        Lines for eager sets install now; the rest are queued.
+        """
+        width = len(line_addrs)
+        if self._eager is None:
+            self._start_queue(width)
+        elif self._queue[0].shape[1] != width:
+            self._materialize()
+            self._queue = self._alloc_queue(width)
+        lines, sets, base = self._queue
+        set_idx = line_addrs & self._set_mask
+        tick = self._tick
+        self._tick = tick + width
+        ndirty = 0
+        hot = np.frombuffer(self._eager, np.uint8)[set_idx].nonzero()[0]
+        if len(hot):
+            ndirty = self._replay(line_addrs[hot].tolist(),
+                                  (hot + (tick + 1)).tolist())
+        row = self._pend
+        if row == len(base):
+            self._materialize()
+            row = 0
+        lines[row] = line_addrs
+        sets[row] = set_idx
+        base[row] = tick
+        self._pend = row + 1
+        return ndirty
+
+    def settle(self, first: int, last: int) -> None:
+        """Make the sets of lines ``first..last`` exact and eager.
+
+        Replays, in tick order, every queued line bound for one of those
+        sets that is not yet eager, then marks them all eager.  Only
+        called while pollution is active (``_eager`` set); the hierarchy
+        calls it before every LLC operation on a line or line span.
+        """
+        eager = self._eager
+        nsets = self.sets
+        lo = first & self._set_mask
+        hi = lo + last - first + 1
+        if hi <= nsets:
+            spans = ((lo, hi),)
+        elif hi - lo >= nsets:
+            spans = ((0, nsets),)
+        else:  # the span wraps past the last set
+            spans = ((lo, nsets), (0, hi - nsets))
+        if all(eager.find(0, a, b) < 0 for a, b in spans):
+            return  # the common case: every set already eager
+        n = self._pend
+        if n:
+            lines, sets, base = self._queue
+            queued = sets[:n].reshape(-1)
+            if first == last:  # one set, and it is not eager
+                idx = (queued == lo).nonzero()[0]
+            else:
+                sel = np.zeros(len(queued), dtype=bool)
+                for a, b in spans:
+                    sel |= (queued >= a) & (queued < b)
+                idx = sel.nonzero()[0]
+                idx = idx[np.frombuffer(eager, np.uint8)[queued[idx]] == 0]
+            if len(idx):
+                rows, cols = np.divmod(idx, lines.shape[1])
+                self._replay(lines.reshape(-1)[idx].tolist(),
+                             (base[rows] + cols + 1).tolist())
+        for a, b in spans:
+            eager[a:b] = b"\x01" * (b - a)
+
+    def _replay(self, line_addrs: list, ticks: list) -> int:
+        """Install clean lines (in tick order) at their recorded LRU
+        ``ticks``; returns the dirty evictions.  Each run of consecutive
+        ticks is one ``install_many`` call from a rewound clock."""
+        now = self._tick
+        ndirty = 0
+        n = len(ticks)
+        a = 0
+        while a < n:
+            origin = ticks[a] - a
+            b = a + 1
+            while b < n and ticks[b] - b == origin:
+                b += 1
+            self._tick = ticks[a] - 1
+            ndirty += self.install_many(line_addrs[a:b])
+            a = b
+        self._tick = now
+        return ndirty
+
+    def _materialize(self) -> None:
+        """Install every queued line at its tick; the queue empties."""
+        n = self._pend
+        if not n:
+            return
+        lines, sets, base = self._queue
+        eager = np.frombuffer(self._eager, np.uint8)
+        idx = (eager[sets[:n]].reshape(-1) == 0).nonzero()[0]
+        rows, cols = np.divmod(idx, lines.shape[1])
+        self._replay(lines.reshape(-1)[idx].tolist(),
+                     (base[rows] + cols + 1).tolist())
+        self._pend = 0
+
+    def _start_queue(self, width: int) -> None:
+        """Begin lazy pollution: sets holding a dirty line start eager."""
+        eager = bytearray(self.sets)
+        for sidx, row in self.dirty.items():
+            if True in row:
+                eager[sidx] = 1
+        self._eager = eager
+        self._queue = self._alloc_queue(width)
+
+    def _alloc_queue(self, width: int) -> tuple:
+        """Fixed-size queue rows: lines, their set indexes, base ticks.
+        Pages are only committed as rows fill."""
+        rows = max(1, PENDING_CAP_LINES // max(width, 1))
+        return (np.empty((rows, width), dtype=np.int64),
+                np.empty((rows, width),
+                         dtype=np.min_scalar_type(self.sets - 1)),
+                np.empty(rows, dtype=np.int64))
+
+    def _discard(self) -> None:
+        """Drop queued pollution (restore and flush_all replace the state
+        it would have filled)."""
+        self._eager = None
+        self._queue = None
+        self._pend = 0
 
     @property
     def occupancy(self) -> int:
+        self._materialize()
         return len(self._map)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

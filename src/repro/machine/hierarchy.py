@@ -141,6 +141,10 @@ class MemoryHierarchy:
         time, in eviction order, so the DRAM ledger floats match the
         per-call formulation exactly.
         """
+        llc = self.llc
+        eager = llc._eager
+        if eager is not None and not eager[line & llc._set_mask]:
+            llc.settle(line, line)  # replay the LLC leg's queued pollution
         charge = self.dram.charge_bandwidth
         # L1 leg: the only level that can install dirty.  Invalid ways
         # always carry dirty=False (invalidate/snoop reset it), so the
@@ -175,7 +179,6 @@ class MemoryHierarchy:
                     charge(now, 1)
                     drow[way] = False
                 del m[row[way]]
-                l1.evictions += 1
             row[way] = line
             m[line] = way
             lrow[way] = tick
@@ -210,7 +213,6 @@ class MemoryHierarchy:
                     charge(now, 1)
                     drow[way] = False
                 del m[row[way]]
-                cache.evictions += 1
             row[way] = line
             m[line] = way
             lrow[way] = tick
@@ -319,6 +321,9 @@ class MemoryHierarchy:
             return cfg.l2_lat + (cfg.l3_lat - cfg.l2_lat)
         l3.misses += 1
         llc = self.llc
+        eager = llc._eager
+        if eager is not None and not eager[line & llc._set_mask]:
+            llc.settle(line, line)
         way = llc._map.get(line)
         if way is not None:
             llc.hits += 1
@@ -462,6 +467,9 @@ class MemoryHierarchy:
             return self._stream_l3_ns
         l3.misses += 1
         llc = self.llc
+        eager = llc._eager
+        if eager is not None and not eager[line & llc._set_mask]:
+            llc.settle(line, line)
         way = llc._map.get(line)
         if way is not None:
             llc.hits += 1
@@ -494,12 +502,16 @@ class MemoryHierarchy:
         """
         lines = list(lines_touched(addr, size))
         self._snoop_invalidate(lines, owner_core)
+        llc = self.llc
+        if llc._eager is not None and lines:
+            # Queued pollution lands first; a stash then keeps these
+            # sets eager, so their dirty lines age under exact pollution.
+            llc.settle(lines[0], lines[-1])
         if self.cfg.stash_enabled:
             self.dma_stash_lines += len(lines)
             # Inline SetAssocCache.install for the LLC fill loop (every
             # payload line passes through here when stashing is on);
             # dirty evictions charge the DRAM ledger exactly as before.
-            llc = self.llc
             m, tags, lru, dirty = llc._map, llc.tags, llc.lru, llc.dirty
             mget = m.get
             tget = tags.get
@@ -507,7 +519,6 @@ class MemoryHierarchy:
             w = llc.ways
             charge = self.dram.charge_bandwidth
             tick = llc._tick
-            evictions = 0
             # Same steady-state shortcut as SetAssocCache.install_many:
             # once every allocated set is full the invalid-way scan can
             # never hit, so skip it per line.
@@ -534,7 +545,6 @@ class MemoryHierarchy:
                     if dirty[sidx][way]:
                         charge(now, 1)
                     del m[row[way]]
-                    evictions += 1
                 else:
                     way = row.index(-1)
                     lrow = lru[sidx]
@@ -543,16 +553,15 @@ class MemoryHierarchy:
                 lrow[way] = tick
                 dirty[sidx][way] = True
             llc._tick = tick
-            llc.evictions += evictions
             # LLC fill crosses the NOC at interconnect speed: ~64B/cycle at
             # 1.6 GHz -> 0.625ns/line; generous but the NOC is not the
             # bottleneck in this system.
             return len(lines) * 0.625
         self.dma_dram_lines += len(lines)
-        llc_map = self.llc._map
+        llc_map = llc._map
         for line in lines:
             if line in llc_map:
-                self.llc.invalidate(line)
+                llc.invalidate(line)
         q = self.dram.charge_bandwidth(now, len(lines))
         return len(lines) * self.dram.service_per_line_ns + q
 
@@ -561,10 +570,13 @@ class MemoryHierarchy:
         """Outbound DMA (memory -> HCA): source lines are read from LLC if
         present, else from DRAM; returns occupancy ns for pacing."""
         lines = list(lines_touched(addr, size))
+        llc = self.llc
+        if llc._eager is not None and lines:
+            llc.settle(lines[0], lines[-1])
         # C-level residency count: map() over the dict's __contains__
         # beats a genexpr of probe() calls on these multi-hundred-line
         # payload spans
-        dram_lines = len(lines) - sum(map(self.llc._map.__contains__, lines))
+        dram_lines = len(lines) - sum(map(llc._map.__contains__, lines))
         if dram_lines:
             q = self.dram.charge_bandwidth(now, dram_lines)
         else:

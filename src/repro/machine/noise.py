@@ -9,7 +9,14 @@ Three effects matter for the measured tails and are modeled here:
    into the DRAM ledger at a configurable duty cycle with jitter.
 2. **LLC pollution** — the workers' footprints evict resident lines,
    including stashed message lines if the consumer is slow.  Modeled by
-   installing random lines into the LLC every tick.
+   filling random clean lines into the LLC every tick.  The fills go
+   through :meth:`SetAssocCache.pollute`, which installs at the tick
+   only in sets the benchmark has touched (or that hold dirty lines) and
+   queues the rest until an operation reaches their set: the benchmark
+   touches a few percent of the LLC's sets before a restore discards
+   the polluted state, so most queued fills are never installed at all,
+   and the ones that are land with the same LRU ticks, the same
+   evictions and the same DRAM charges as eager installs.
 3. **Scheduler preemption** — benchmark threads occasionally lose the
    CPU; off-CPU episodes are heavy-tailed (lognormal).  This is the main
    source of the 99.9th-percentile spikes for *both* configurations, while
@@ -69,13 +76,15 @@ class StressWorkload:
 
     def _run(self):
         # fig11/fig12 run this body millions of times, so every per-tick
-        # attribute lookup is hoisted and the LLC pollution goes through
-        # the bulk install_many / charge_bandwidth_bulk paths.  The RNG
-        # draw order and every float
-        # expression are unchanged, so results stay byte-identical: LLC
-        # installs never read DRAM state and charge_bandwidth never reads
-        # LLC state, so batching the dirty-eviction charges after the
-        # install loop (same ``now``) is invisible to the model.
+        # attribute lookup is hoisted.  LLC pollution is one pollute()
+        # call per tick: it keeps the LRU clock in step and installs only
+        # into eager (touched, possibly dirty) sets, queuing the rest.
+        # Its count of dirty evictions is charged in one
+        # charge_bandwidth_bulk at the tick's ``now``: LLC fills never
+        # read DRAM state and charge_bandwidth never reads LLC state, so
+        # charging after the fills is invisible to the model.  The RNG
+        # draw order (rnd, rnd, integers(npoll), rnd per core) and every
+        # float expression are unchanged, so results stay byte-identical.
         cfg = self.cfg
         node = self.node
         rng = self.rng
@@ -86,7 +95,7 @@ class StressWorkload:
         dram = node.hier.dram
         inject = dram.inject_busy
         charge_bulk = dram.charge_bandwidth_bulk
-        install_many = node.hier.llc.install_many
+        pollute = node.hier.llc.pollute
         preempt = node.preempt
         dd = cfg.dram_duty
         dj = cfg.dram_jitter
@@ -110,7 +119,7 @@ class StressWorkload:
                 inject(now, bns)
             # (2) LLC pollution
             if npoll:
-                k = install_many(rint(0, llc_span_lines, npoll).tolist())
+                k = pollute(rint(0, llc_span_lines, npoll))
                 if k:
                     charge_bulk(now, k)
             # (3) preemption
