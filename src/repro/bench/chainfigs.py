@@ -71,9 +71,6 @@ register(FigureSpec(
     notes="put pays one injected-jam hop per replica; get is flat (tail "
           "serves it regardless of k); streamed puts pipeline the hops",
     setup_key=lambda p: {"chain": p["k"]},
-    # All cross-node coupling is fabric traffic (jam forwards, acks,
-    # flag puts); the driver reads replica state only between runs.
-    shardable=True,
 ))
 
 
@@ -110,5 +107,4 @@ register(FigureSpec(
     notes="one sweep posts the injected frame to k replicas back-to-back; "
           "per-replica cost amortizes as posts overlap earlier flights",
     setup_key=lambda p: {"chain": p["k"]},
-    shardable=True,
 ))

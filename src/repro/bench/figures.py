@@ -98,12 +98,6 @@ class FigureSpec:
     directions: dict[str, str] = field(default_factory=dict)
     notes: str = ""
     setup_key: Callable[[dict], object] | str | None = None
-    # Whether the point function tolerates a sharded DES (sim/shard.py):
-    # all cross-node coupling flows through the fabric, and the driver
-    # only touches foreign-node state at global quiescence (between
-    # run_process calls).  Legacy shapes that read peer cycle counters
-    # or stop cross-node stress mid-run stay False and force --shards 1.
-    shardable: bool = False
 
     def setup_key_for(self, params: dict) -> object:
         """The setup-group key for one sweep point (JSON-serializable)."""
@@ -188,16 +182,12 @@ def _messages(fast: bool) -> int:
 
 
 def board_counters(*worlds: World) -> dict[str, int]:
-    """Sum every node's Scoreboard counters across the point's worlds.
-
-    Goes through ``World.board_counters`` (not the node objects) so that
-    worlds whose shards run in worker processes report the live boards
-    over the world-RPC surface instead of stale fork-time mirrors.
-    """
+    """Sum every node's Scoreboard counters across the point's worlds."""
     out: dict[str, int] = {}
     for w in worlds:
-        for name, value in w.board_counters().items():
-            out[name] = out.get(name, 0) + int(value)
+        for node in w.bed.nodes:
+            for name, value in node.board.counters.items():
+                out[name] = out.get(name, 0) + int(value)
     return out
 
 

@@ -27,7 +27,6 @@ host- or time-dependent lives under the payload's ``meta`` key.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import multiprocessing
 import os
@@ -44,7 +43,6 @@ from ..obs.metrics import METRICS, merge_snapshots, metrics_block
 from ..obs.slo import DEFAULT_HEALTH_THRESHOLD_PCT, health_diff_payloads
 from ..obs.tracer import TRACER
 from ..perf import COUNTERS, throughput
-from ..sim import shard as _shard
 from ..sim.rng import DEFAULT_SEED
 from .figures import FigureResult, FigureSpec, assemble, full_registry
 from .report import bench_payload, render_figure
@@ -173,18 +171,12 @@ def _exec_point(task: tuple[str, dict, bool, bool]
     t0 = time.perf_counter()
     if metrics:
         METRICS.attach()
-    # Legacy shapes whose drivers read/stop foreign-node state mid-run
-    # (cycle counters, cross-node stress teardown) cannot split across
-    # DES shards; they force a single heap regardless of --shards.
-    shard_ctx = (contextlib.nullcontext() if spec.shardable
-                 else _shard.forced_single())
-    with shard_ctx:
-        if trace:
-            with TRACER.capture():
-                row = spec.point(**params)
-                phases = phase_durations(TRACER.events)
-        else:
+    if trace:
+        with TRACER.capture():
             row = spec.point(**params)
+            phases = phase_durations(TRACER.events)
+    else:
+        row = spec.point(**params)
     if metrics:
         METRICS.detach()
         msnap = METRICS.snapshot(stable_only=True)
@@ -196,7 +188,7 @@ def _exec_point(task: tuple[str, dict, bool, bool]
 
 
 def _exec_group(task: tuple[list[tuple[str, dict, bool, bool]],
-                            bool, bool, bool, int | str, str, int]
+                            bool, bool, bool]
                 ) -> list[tuple[dict, float, dict, dict | None, dict | None,
                                 int, int]]:
     """Pool worker: run one setup-key group of sweep points, in order.
@@ -208,20 +200,14 @@ def _exec_group(task: tuple[list[tuple[str, dict, bool, bool]],
     workers may process several groups and must not leak worlds between
     them.  ``fuse`` and ``trace_jit`` carry the VM compilation-tier
     switches into pool workers (process-global state does not travel
-    with the task otherwise); ``active_jobs`` carries the pool width so
-    ``--shards auto`` (and explicit process-backend shard counts) can
-    cap worker-process × pool-job oversubscription.
+    with the task otherwise).
     """
-    group, fork, fuse, trace_jit, shards, shard_backend, active_jobs = task
+    group, fork, fuse, trace_jit = task
     from ..isa import vm as _vm
     prev_fuse = _vm.fusion_enabled()
     prev_trace = _vm.trace_jit_enabled()
-    prev_shards = _shard.get_policy()
-    prev_jobs = _shard.get_active_jobs()
     _vm.set_fusion(fuse)
     _vm.set_trace_jit(trace_jit)
-    _shard.set_policy(shards, shard_backend)
-    _shard.set_active_jobs(active_jobs)
     if fork:
         SETUP_CACHE.enabled = True
         SETUP_CACHE.clear()
@@ -232,14 +218,28 @@ def _exec_group(task: tuple[list[tuple[str, dict, bool, bool]],
         SETUP_CACHE.clear()
         _vm.set_fusion(prev_fuse)
         _vm.set_trace_jit(prev_trace)
-        _shard.set_policy(*prev_shards)
-        _shard.set_active_jobs(prev_jobs)
+
+
+def available_cpus() -> int:
+    """CPUs this process may actually run on.
+
+    Container-aware: a cgroup cpuset (docker --cpuset-cpus, CI runners,
+    taskset) shrinks ``sched_getaffinity`` but not ``os.cpu_count``, so
+    prefer the affinity mask where the platform has one.
+    """
+    getaff = getattr(os, "sched_getaffinity", None)
+    if getaff is not None:
+        try:
+            return max(1, len(getaff(0)))
+        except OSError:  # pragma: no cover - exotic platforms
+            pass
+    return max(1, os.cpu_count() or 1)
 
 
 def resolve_jobs(jobs: int | str) -> int:
-    """Resolve a ``--jobs`` value; ``"auto"`` means one per CPU."""
+    """Resolve a ``--jobs`` value; ``"auto"`` means one per available CPU."""
     if jobs == "auto":
-        return max(1, os.cpu_count() or 1)
+        return available_cpus()
     n = int(jobs)
     if n < 1:
         raise ValueError(f"jobs must be >= 1, got {n}")
@@ -282,7 +282,6 @@ def run_figures(names: list[str] | None = None, *, fast: bool = True,
                 trace: bool = False, fork: bool = True,
                 fuse: bool = True, trace_jit: bool = True,
                 metrics: bool = True,
-                shards: int | str = 1, shard_backend: str = "serial",
                 log=None) -> list[FigureRun]:
     """Run the requested sweeps, reusing cached points, fanning out misses.
 
@@ -303,11 +302,6 @@ def run_figures(names: list[str] | None = None, *, fast: bool = True,
     ``trace_jit=False`` (``--no-trace``) likewise disables the
     cross-branch trace tier layered on fusion; the trace-identity tests
     pin row equality, so only wall-clock differs.
-    ``shards``/``shard_backend`` (``--shards``, ``--shard-backend``)
-    select the conservative parallel-DES policy (sim/shard.py) for
-    shard-safe specs (``FigureSpec.shardable``); other specs force
-    ``--shards 1``.  Rows are byte-identical across shard counts — the
-    policy only moves wall-clock, like ``jobs``.
     ``metrics`` (default on; ``--no-metrics`` clears it) captures the
     sim-time metrics registry around every executed point.  The stable
     snapshot is a deterministic pure function of the point, so — unlike
@@ -352,16 +346,9 @@ def run_figures(names: list[str] | None = None, *, fast: bool = True,
             + ("" if fork else ", fork disabled"))
 
     if group_tasks:
-        # The effective pool width rides with every task: shard policy
-        # resolution divides the CPU budget by it, so a wide pool with
-        # --shards auto does not fork cpus-per-job × jobs workers.
-        pool_jobs = (min(jobs, len(group_tasks))
-                     if jobs > 1 and len(group_tasks) > 1 else 1)
-        payload = [(g, fork, fuse, trace_jit, shards, shard_backend,
-                    pool_jobs)
-                   for g in group_tasks]
-        if pool_jobs > 1:
-            with multiprocessing.Pool(pool_jobs) as pool:
+        payload = [(g, fork, fuse, trace_jit) for g in group_tasks]
+        if jobs > 1 and len(group_tasks) > 1:
+            with multiprocessing.Pool(min(jobs, len(group_tasks))) as pool:
                 group_outs = pool.map(_exec_group, payload, chunksize=1)
         else:
             group_outs = [_exec_group(t) for t in payload]
@@ -417,8 +404,7 @@ def run_figures(names: list[str] | None = None, *, fast: bool = True,
 def build_meta(*, fast: bool, smoke: bool, jobs: int,
                trace: bool = False, fork: bool = True,
                fuse: bool = True, trace_jit: bool = True,
-               metrics: bool = True,
-               shards: int | str = 1, shard_backend: str = "serial") -> dict:
+               metrics: bool = True) -> dict:
     """Host/run metadata shared by every figure payload of one run.
 
     Everything here is allowed to differ between two otherwise identical
@@ -440,15 +426,9 @@ def build_meta(*, fast: bool, smoke: bool, jobs: int,
         "fuse": fuse,
         "trace_jit": trace_jit,
         "metrics_enabled": metrics,
-        # Rows are shard-count invariant (the determinism tests pin it);
-        # shards only move wall-clock, so they live in meta like jobs.
-        "shards": {
-            "requested": shards,
-            "backend": shard_backend,
-            # Container-aware: the scheduler affinity mask when the OS
-            # exposes one, not the bare host core count.
-            "cpus": _shard.available_cpus(),
-        },
+        # The cores the run could use (the affinity mask, not the host
+        # count): every wall-clock claim states it.
+        "cpus": available_cpus(),
     }
 
 

@@ -26,7 +26,6 @@ import time
 from pathlib import Path
 
 from ..perf import COUNTERS, throughput
-from ..sim import shard as _shard
 from .figures import full_registry
 from .orchestrator import resolve_names
 
@@ -45,18 +44,14 @@ def _subsystem_of(path: str) -> str | None:
 
 def profile_figures(names: list[str] | None = None, *, fast: bool = True,
                     smoke: bool = False, top: int = 12,
-                    hot_loops: bool = False, shards: int | str = 1,
-                    shard_backend: str = "serial") -> dict:
+                    hot_loops: bool = False) -> dict:
     """Profile the named sweeps (all registered figures by default).
 
     ``smoke`` runs only the first point of each sweep — the CI quick
     check.  ``hot_loops`` additionally collects the VM's trace-JIT
     observability registries (profiled backward branches and installed
     traces) and attaches a ``hot_loops`` block: the top back-edges by
-    dispatch count and per-anchor trace coverage.  ``shards`` sets the
-    DES shard policy for shardable sweeps (an int or ``"auto"``) and
-    attaches a per-shard utilization block — busy vs sync-stall wall —
-    whenever any profiled world actually ran sharded.  Returns the
+    dispatch count and per-anchor trace coverage.  Returns the
     JSON-able report dict.
     """
     names = resolve_names(names)
@@ -71,19 +66,12 @@ def profile_figures(names: list[str] | None = None, *, fast: bool = True,
     if hot_loops:
         from ..isa import vm as _vm
         _vm.reset_trace_observability()
-    _shard.RUN_STATS.reset()
     before = COUNTERS.snapshot()
     profiler = cProfile.Profile()
     t0 = time.perf_counter()
     profiler.enable()
-    with _shard.scoped_policy(shards, shard_backend):
-        for name, params in tasks:
-            spec = registry[name]
-            if spec.shardable:
-                spec.point(**params)
-            else:
-                with _shard.forced_single():
-                    spec.point(**params)
+    for name, params in tasks:
+        registry[name].point(**params)
     profiler.disable()
     wall_s = time.perf_counter() - t0
     counters = COUNTERS.delta(before)
@@ -123,24 +111,6 @@ def profile_figures(names: list[str] | None = None, *, fast: bool = True,
     if hot_loops:
         sites, recs = _vm.trace_observability()
         report["hot_loops"] = _hot_loops_block(sites, recs, counters, top)
-    stats_by_shard = _shard.RUN_STATS.snapshot()
-    if stats_by_shard:
-        report["shards"] = {
-            "requested": shards,
-            "backend": shard_backend,
-            "runs": _shard.RUN_STATS.runs,
-            "per_shard": [
-                {"shard": s,
-                 # Which OS process executed the shard: the driver pid
-                 # for serial/thread, the forked worker for process.
-                 "pid": int(d["pid"]),
-                 "events": int(d["events"]),
-                 "busy_wall_s": round(d["busy_wall_ns"] / 1e9, 4),
-                 "stall_wall_s": round(d["stall_wall_ns"] / 1e9, 4),
-                 "busy_pct": round(100.0 * d["busy_frac"], 2),
-                 "null_msgs": int(d["null_msgs"])}
-                for s, d in stats_by_shard.items()],
-        }
     return report
 
 
@@ -240,18 +210,4 @@ def render_profile_text(report: dict) -> str:
                     f"dispatches={t['dispatches']:,} "
                     f"retired={t['instructions']:,}"
                     f"{'' if t['live'] else ' (dead)'}")
-    sh = report.get("shards")
-    if sh is not None:
-        lines += [
-            "",
-            f"DES shard utilization ({sh['backend']} backend, "
-            f"{sh['runs']} sharded runs):",
-        ]
-        for d in sh["per_shard"]:
-            lines.append(
-                f"  shard {d['shard']} (pid {d['pid']}): "
-                f"busy {d['busy_wall_s']:.3f}s / "
-                f"stall {d['stall_wall_s']:.3f}s ({d['busy_pct']:.1f}% "
-                f"busy), {d['events']:,} events, "
-                f"{d['null_msgs']:,} null msgs")
     return "\n".join(lines)

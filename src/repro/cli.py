@@ -225,20 +225,6 @@ def _cmd_figures(args) -> int:
     return 0
 
 
-def _parse_shards(value: str) -> int | str:
-    """``--shards`` accepts a positive integer or the string 'auto'."""
-    if value == "auto":
-        return "auto"
-    try:
-        n = int(value)
-    except ValueError:
-        raise ValueError(f"--shards must be an integer or 'auto', "
-                         f"got {value!r}") from None
-    if n < 1:
-        raise ValueError("--shards must be >= 1")
-    return n
-
-
 def _cmd_bench_run(args) -> int:
     from .bench.orchestrator import (
         build_meta,
@@ -253,7 +239,6 @@ def _cmd_bench_run(args) -> int:
     try:
         names = resolve_names(args.figures or None)
         jobs = resolve_jobs(args.jobs)
-        shards = _parse_shards(args.shards)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -269,13 +254,11 @@ def _cmd_bench_run(args) -> int:
     runs = run_figures(names, fast=fast, smoke=args.smoke, jobs=jobs,
                        store=store, trace=args.trace, fork=fork, fuse=fuse,
                        trace_jit=trace_jit, metrics=metrics,
-                       shards=shards, shard_backend=args.shard_backend,
                        log=None if args.quiet else
                        (lambda m: print(m, file=sys.stderr)))
     meta = build_meta(fast=fast, smoke=args.smoke, jobs=jobs,
                       trace=args.trace, fork=fork, fuse=fuse,
-                      trace_jit=trace_jit, metrics=metrics,
-                      shards=shards, shard_backend=args.shard_backend)
+                      trace_jit=trace_jit, metrics=metrics)
     paths = write_runs(runs, args.out, meta)
     if not args.quiet:
         print(render_runs_text(runs))
@@ -317,11 +300,9 @@ def _cmd_profile(args) -> int:
     from .bench.profile import profile_figures, render_profile_text
 
     try:
-        shards = _parse_shards(args.shards)
         report = profile_figures(args.figures or None, fast=not args.full,
                                  smoke=args.quick, top=args.top,
-                                 hot_loops=args.hot_loops, shards=shards,
-                                 shard_backend=args.shard_backend)
+                                 hot_loops=args.hot_loops)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -431,8 +412,8 @@ def make_parser() -> argparse.ArgumentParser:
                    help="registered sweeps (default: all; "
                         "see 'bench list')")
     b.add_argument("--jobs", default="auto",
-                   help="worker processes, or 'auto' for one per CPU "
-                        "(default: auto)")
+                   help="worker processes, or 'auto' for one per "
+                        "available CPU (default: auto)")
     b.add_argument("--full", action="store_true",
                    help="full sweep axes (slower)")
     b.add_argument("--smoke", action="store_true",
@@ -461,18 +442,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="skip the metrics registry: no meta.metrics "
                         "block in the result files (rows are identical "
                         "either way)")
-    b.add_argument("--shards", default="1",
-                   help="DES shards per world: an integer or 'auto' for "
-                        "one per available CPU divided by --jobs, capped "
-                        "at the world's node count (default 1 = single "
-                        "heap; rows are identical either way)")
-    b.add_argument("--shard-backend", default="serial",
-                   choices=("serial", "thread", "process"),
-                   help="sharded-run scheduler: 'serial' interleaves "
-                        "shards on one thread, 'thread' runs one thread "
-                        "per shard, 'process' forks one worker process "
-                        "per non-zero shard for multi-core wall-clock "
-                        "(default serial)")
     b.add_argument("--quiet", action="store_true",
                    help="suppress progress and text tables")
     b.set_defaults(fn=_cmd_bench_run)
@@ -533,14 +502,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--hot-loops", action="store_true",
                    help="report the trace JIT's hot back-edges and "
                         "per-anchor trace coverage")
-    p.add_argument("--shards", default="1",
-                   help="DES shards per world for shardable sweeps "
-                        "(integer or 'auto'); adds a per-shard busy vs "
-                        "sync-stall utilization block")
-    p.add_argument("--shard-backend", default="serial",
-                   choices=("serial", "thread", "process"),
-                   help="sharded-run scheduler (default serial); "
-                        "'process' rows are labeled by worker pid")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write the report as JSON")
     p.set_defaults(fn=_cmd_profile)

@@ -208,7 +208,7 @@ class Waiter:
         node.add_busy_ns(core, cost)
         yield Delay(cost)
         view: FrameView = unpack_header(
-            node.mem.data, slot_addr)
+            node.mem.data, slot_addr, frame_size=self.mailbox.frame_size)
         self.stats.frames += 1
         if view.injected:
             self.stats.injected_frames += 1

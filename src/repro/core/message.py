@@ -131,14 +131,31 @@ class FrameView:
         return self.code_off + self.code_size
 
 
-def unpack_header(blob: bytes | bytearray | memoryview, offset: int = 0
-                  ) -> FrameView:
+def unpack_header(blob: bytes | bytearray | memoryview, offset: int = 0, *,
+                  frame_size: int) -> FrameView:
+    """Decode the header of the frame in the ``frame_size``-byte mailbox
+    slot at ``offset``.
+
+    Raises :class:`MailboxError` for a buffer shorter than the header, a
+    bad magic or version, or section sizes that do not fit the slot (or
+    the buffer), so no section offset of the view reaches past them.
+    """
+    avail = len(blob) - offset
+    if avail < HDR_SIZE:
+        raise MailboxError(f"frame buffer of {avail} bytes is shorter than "
+                           f"the {HDR_SIZE}-byte header")
     (magic, version, flags, seq, pkg, elem, code_size, payload_size,
      a0, a1) = _HDR.unpack_from(blob, offset)
     if magic != MAGIC:
         raise MailboxError(f"bad frame magic {magic:#x}")
     if version != VERSION:
         raise MailboxError(f"unsupported frame version {version}")
+    need = frame_wire_size(code_size, payload_size)
+    room = min(frame_size, avail)
+    if need > room:
+        raise MailboxError(f"frame header claims {need} bytes "
+                           f"({code_size} B code, {payload_size} B payload) "
+                           f"but only {room} fit")
     gotp = 0
     if code_size:
         gotp = struct.unpack_from("<Q", blob, offset + HDR_SIZE)[0]

@@ -97,26 +97,6 @@ class World:
         code = len(self.build.jam(jam_name).blob) if inject else 0
         return frame_wire_size(code, payload_bytes)
 
-    # -- shard-routable driver reads ---------------------------------------
-    # Drivers use these instead of poking node internals so the same code
-    # works when a node's state lives in a shard worker process: the
-    # WorldProxy overrides them with RPC-routed versions, this class is
-    # the direct single-process path.
-
-    def read_u64(self, node_id: int, addr: int) -> int:
-        return self.bed.nodes[node_id].mem.read_u64(addr)
-
-    def read_mem(self, node_id: int, addr: int, size: int) -> bytes:
-        return self.bed.nodes[node_id].mem.read(addr, size)
-
-    def board_counters(self) -> dict[str, int]:
-        """Every node's Scoreboard counters, summed in node-id order."""
-        out: dict[str, int] = {}
-        for node in self.bed.nodes:
-            for name, value in node.board.counters.items():
-                out[name] = out.get(name, 0) + int(value)
-        return out
-
     # -- checkpoint / fork -------------------------------------------------
 
     def snapshot(self) -> WorldCheckpoint:
@@ -190,10 +170,7 @@ def make_world(hier_cfg: HierarchyConfig | None = None,
             # Nodes beyond the pair get their own config instance: a
             # RuntimeConfig is mutable and must not alias across nodes.
             cfg = RuntimeConfig(**vars(server_cfg))
-        # Each runtime schedules on its own node's engine: the shared
-        # Engine on a single-heap world, the node's shard view when the
-        # DES is sharded (sim/shard.py).
-        runtimes.append(TwoChainsRuntime(node.engine, node, hca,
+        runtimes.append(TwoChainsRuntime(bed.engine, node, hca,
                                          bed.qps_from(i), cfg=cfg,
                                          ucp_cfg=ucp_cfg))
     if build is not None:
@@ -208,13 +185,7 @@ def make_world(hier_cfg: HierarchyConfig | None = None,
         pkg_build = builder()
     for rt in runtimes:
         rt.load_package(pkg_build)
-    world = World(bed=bed, runtimes=runtimes, build=pkg_build)
-    if getattr(bed.engine, "backend", None) == "process":
-        # Process-backed shards: drivers hold a WorldProxy whose agent is
-        # registered now, pre-fork, so every later worker inherits it.
-        from .worldproxy import wrap_world
-        return wrap_world(world)
-    return world
+    return World(bed=bed, runtimes=runtimes, build=pkg_build)
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +219,7 @@ def world_setup_key(hier_cfg: HierarchyConfig | None = None,
     """
     if build is not None:
         return None
-    from ..sim import shard as _shard
-    requested, backend = _shard.get_policy()
-    nshards = _shard.resolve_shards(requested,
-                                    topology.nodes if topology else 2)
     doc = {
-        # Worlds built under different effective shard counts are not
-        # interchangeable setup-cache entries (their engines differ even
-        # though measured rows are identical by the determinism contract).
-        "shards": [nshards, backend if nshards > 1 else "serial"],
         "hier": _jsonable(asdict(hier_cfg)) if is_dataclass(hier_cfg) else None,
         "client": _jsonable(asdict(client_cfg)) if is_dataclass(client_cfg)
         else None,

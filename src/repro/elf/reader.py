@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from ..errors import ElfError
@@ -56,7 +57,21 @@ class ElfImage:
 
 
 def read_elf(blob: bytes) -> ElfImage:
-    """Parse and validate a CHAIN ELF64 shared object."""
+    """Parse and validate a CHAIN ELF64 shared object.
+
+    Every malformed image raises :class:`ElfError`.  Table and string
+    offsets are not range-checked one by one; the decode errors they
+    cause (a struct read past the end, an offset too large to index
+    with, a string without its terminator or not UTF-8) are converted
+    here instead.
+    """
+    try:
+        return _parse(blob)
+    except (struct.error, ValueError, OverflowError) as exc:
+        raise ElfError(f"malformed ELF image: {exc}") from exc
+
+
+def _parse(blob: bytes) -> ElfImage:
     ehdr = Ehdr.decode(blob)
     if ehdr.e_machine != C.EM_CHAIN:
         raise ElfError(f"wrong machine {ehdr.e_machine:#x} (want EM_CHAIN)")

@@ -184,19 +184,13 @@ def percentile_from_buckets(buckets: dict[int, int], count: int, q: float,
 class MetricsRegistry:
     """Process-wide metric store.  ``enabled`` gates every emission."""
 
-    __slots__ = ("enabled", "counters", "gauges", "hists", "gen")
+    __slots__ = ("enabled", "counters", "gauges", "hists")
 
     def __init__(self) -> None:
         self.enabled = False
         self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
         self.hists: dict[str, Histogram] = {}
-        #: Generation counter, bumped on every clear.  Forked DES shard
-        #: workers (sim/procshard.py) carry a copy of this registry; the
-        #: coordinator ships its ``gen`` with each run so a worker can
-        #: detect that the parent registry was cleared after the fork and
-        #: drop its own stale copy instead of merging it back.
-        self.gen = 0
 
     # -- lifecycle -------------------------------------------------------
     def attach(self, clear: bool = True) -> None:
@@ -213,7 +207,6 @@ class MetricsRegistry:
         self.counters.clear()
         self.gauges.clear()
         self.hists.clear()
-        self.gen += 1
 
     @contextmanager
     def capture(self) -> Iterator["MetricsRegistry"]:
@@ -303,43 +296,6 @@ class MetricsRegistry:
                                     for i in sorted(h.buckets)},
                         "stable": h.stable}
         return {"counters": counters, "gauges": gauges, "hists": hists}
-
-    # -- cross-process merge (process shard backend) ---------------------
-    def dump(self, keys: "set[tuple[str, str]] | None" = None) -> dict:
-        """Raw instrument objects (not rendered values), keyed by kind.
-
-        With ``keys`` (a set of ``(kind, name)``), only those instruments
-        are included — the shard workers ship the instruments they
-        actually touched since forking.  The objects are plain
-        ``__slots__`` holders and pickle as-is.
-        """
-        if keys is None:
-            return {"counters": dict(self.counters),
-                    "gauges": dict(self.gauges),
-                    "hists": dict(self.hists)}
-        out: dict[str, dict] = {"counters": {}, "gauges": {}, "hists": {}}
-        pools = {"counters": self.counters, "gauges": self.gauges,
-                 "hists": self.hists}
-        for kind, name in keys:
-            obj = pools[kind].get(name)
-            if obj is not None:
-                out[kind][name] = obj
-        return out
-
-    def absorb_dump(self, d: dict) -> None:
-        """Merge a worker's :meth:`dump` by **whole-key replacement**.
-
-        Exactness rests on single-writer keys: after a shard worker
-        forks, every metric key is mutated by at most one process (all
-        instrumented layers tag keys with their node / src-node, and a
-        node lives on exactly one shard), so the worker's instrument is
-        byte-for-byte the instrument a single-process run would hold, and
-        replacing the coordinator's stale fork-time copy is an exact
-        merge — no double counting, no gauge-integral stitching.
-        """
-        self.counters.update(d.get("counters", ()))
-        self.gauges.update(d.get("gauges", ()))
-        self.hists.update(d.get("hists", ()))
 
     # -- inspection ------------------------------------------------------
     def series(self) -> list[tuple[str, str, list[tuple[float, float]]]]:

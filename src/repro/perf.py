@@ -66,19 +66,8 @@ class SimCounters:
         self.reset()
 
     def reset(self) -> None:
-        self.instructions = 0
-        self.cache_probes = 0
-        self.des_events = 0
-        self.sim_ns = 0.0
-        self.blocks_compiled = 0
-        self.fused_dispatches = 0
-        self.fused_instructions = 0
-        self.block_invalidations = 0
-        self.traces_compiled = 0
-        self.trace_dispatches = 0
-        self.trace_instructions = 0
-        self.guard_bails = 0
-        self.trace_invalidations = 0
+        for name in _FIELDS:
+            setattr(self, name, 0.0 if name == "sim_ns" else 0)
 
     def snapshot(self) -> dict:
         return {name: getattr(self, name) for name in _FIELDS}
@@ -95,21 +84,12 @@ COUNTERS = SimCounters()
 def throughput(counters: dict, wall_s: float) -> dict:
     """The ``sim_throughput`` block: counters plus per-wall-second rates."""
     wall = max(wall_s, 1e-12)
-    return {
-        "instructions": int(counters.get("instructions", 0)),
-        "cache_probes": int(counters.get("cache_probes", 0)),
-        "des_events": int(counters.get("des_events", 0)),
-        "sim_ns": round(float(counters.get("sim_ns", 0.0)), 3),
-        "blocks_compiled": int(counters.get("blocks_compiled", 0)),
-        "fused_dispatches": int(counters.get("fused_dispatches", 0)),
-        "fused_instructions": int(counters.get("fused_instructions", 0)),
-        "block_invalidations": int(counters.get("block_invalidations", 0)),
-        "traces_compiled": int(counters.get("traces_compiled", 0)),
-        "trace_dispatches": int(counters.get("trace_dispatches", 0)),
-        "trace_instructions": int(counters.get("trace_instructions", 0)),
-        "guard_bails": int(counters.get("guard_bails", 0)),
-        "trace_invalidations": int(counters.get("trace_invalidations", 0)),
-        "wall_s": round(wall_s, 6),
-        "instructions_per_s": round(counters.get("instructions", 0) / wall, 1),
-        "sim_ns_per_wall_s": round(counters.get("sim_ns", 0.0) / wall, 1),
-    }
+    out = {name: (round(float(counters.get(name, 0.0)), 3)
+                  if name == "sim_ns" else int(counters.get(name, 0)))
+           for name in _FIELDS}
+    out.update(
+        wall_s=round(wall_s, 6),
+        instructions_per_s=round(counters.get("instructions", 0) / wall, 1),
+        sim_ns_per_wall_s=round(counters.get("sim_ns", 0.0) / wall, 1),
+    )
+    return out

@@ -21,16 +21,10 @@ from typing import Mapping
 from ..errors import RdmaError
 from ..machine.hierarchy import HierarchyConfig
 from ..machine.node import Node
-from ..sim import shard as _shard
 from ..sim.engine import Engine
 from ..sim.rng import RngPool
 from .params import DEFAULT_LINK, LinkParams
-from .verbs import Hca, QueuePair, connect, envelope_lookahead_ns
-
-
-def shard_of(node_id: int, nodes: int, nshards: int) -> int:
-    """Contiguous node -> shard partition (shard sizes differ by <= 1)."""
-    return node_id * nshards // nodes
+from .verbs import Hca, QueuePair, connect
 
 DEFAULT_MEM_SIZE = 64 * 1024 * 1024
 
@@ -151,16 +145,7 @@ class Fabric:
         if topology is None:
             topology = Topology.pair(link=link,
                                      mem_size=mem_size or DEFAULT_MEM_SIZE)
-        requested, backend = _shard.get_policy()
-        nshards = _shard.resolve_shards(requested, topology.nodes)
-        if nshards > 1:
-            coord = _shard.make_coordinator(nshards, backend=backend)
-            engine = coord
-            engines = [coord.view(shard_of(i, topology.nodes, nshards))
-                       for i in range(topology.nodes)]
-        else:
-            engine = Engine()
-            engines = [engine] * topology.nodes
+        engine = Engine()
         rngs = RngPool(DEFAULT_SEED if seed is None else seed)
         cfg0 = hier_cfg or HierarchyConfig()
         nodes: list[Node] = []
@@ -168,40 +153,18 @@ class Fabric:
             # Each node gets its own hierarchy instance with identical
             # config (node 0 owns the caller's instance, like before).
             cfg = cfg0 if i == 0 else HierarchyConfig(**vars(cfg0))
-            nodes.append(Node(engines[i], i, mem_size=topology.mem_size,
+            nodes.append(Node(engine, i, mem_size=topology.mem_size,
                               hier_cfg=cfg))
         # One HCA per node; its default link is the topology default (the
         # per-pair override rides on the QP, not the HCA).
         hcas = [Hca(node, topology.default_link) for node in nodes]
         qps: dict[tuple[int, int], QueuePair] = {}
         for i, j in topology.pairs():
-            if nshards > 1:
-                # Each QP schedules on its source node's shard; pairs
-                # that cross shards register the channel lookahead.
-                lo = topology.link_for(i, j)
-                lb = topology.link_for(j, i)
-                qps[(i, j)] = QueuePair(engines[i], hcas[i], hcas[j], link=lo)
-                qps[(j, i)] = QueuePair(engines[j], hcas[j], hcas[i], link=lb)
-                # Name every QP as an engine endpoint: the process shard
-                # backend wire-encodes cross-shard callables as (endpoint
-                # key, method), and registration must precede its fork.
-                coord.register_endpoint(f"qp:{i}:{j}", qps[(i, j)])
-                coord.register_endpoint(f"qp:{j}:{i}", qps[(j, i)])
-                si, sj = engines[i].shard, engines[j].shard
-                if si != sj:
-                    coord.register_link(si, sj, envelope_lookahead_ns(lo))
-                    coord.register_link(sj, si, envelope_lookahead_ns(lb))
-            else:
-                qps[(i, j)], qps[(j, i)] = connect(
-                    engine, hcas[i], hcas[j],
-                    link_out=topology.link_for(i, j),
-                    link_back=topology.link_for(j, i))
+            qps[(i, j)], qps[(j, i)] = connect(
+                engine, hcas[i], hcas[j],
+                link_out=topology.link_for(i, j),
+                link_back=topology.link_for(j, i))
         return cls(engine, rngs, topology, nodes, hcas, qps)
-
-    @property
-    def nshards(self) -> int:
-        """Effective DES shard count this fabric was built with."""
-        return getattr(self.engine, "nshards", 1)
 
     # -- fabric-aware addressing -------------------------------------------
 

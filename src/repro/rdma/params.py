@@ -37,10 +37,5 @@ class LinkParams:
     def wire_time_ns(self, size: int) -> float:
         return self.wire_msg_overhead_ns + size / self.wire_bandwidth_gbps
 
-    def one_way_base_ns(self) -> float:
-        """Size-independent half-RTT component."""
-        return (self.post_overhead_ns + self.hca_proc_ns + self.pcie_lat_ns
-                + self.wire_prop_ns + self.hca_proc_ns + self.pcie_lat_ns)
-
 
 DEFAULT_LINK = LinkParams()

@@ -25,17 +25,8 @@ from ..machine.node import Node
 from ..obs.metrics import METRICS as _M
 from ..obs.tracer import TID_HCA, TRACER as _T, node_pid
 from ..sim.engine import Engine, Event
-from ..sim.shard import shard_route
 from .mr import Access, MemoryRegion, MrTable
 from .params import DEFAULT_LINK, LinkParams
-
-
-def envelope_lookahead_ns(link: LinkParams) -> float:
-    """Minimum simulated latency of any message on ``link``: the static
-    lookahead a cross-shard channel over this link may promise (software
-    post + 2x HCA + 2x PCIe + propagation + zero-byte serialization).
-    Every ``post_put``/``post_get`` delivery time provably meets it."""
-    return link.one_way_base_ns() + link.wire_msg_overhead_ns
 
 
 class WcStatus(enum.Enum):
@@ -182,18 +173,6 @@ class QueuePair:
             _T.span(pid, TID_HCA, "rdma.flight", post_done, delivered,
                     {"size": size})
 
-        route = shard_route(self.engine, self.dst.node.engine)
-        if route is not None:
-            # Cross-shard put: the receiver-side work runs on the dst
-            # shard via a lookahead-checked envelope; the sender retire
-            # (status/ACK) rides back on an expect barrier registered at
-            # the delivery time we just computed from src-local state.
-            src_view, dst_view = route
-            src_view.expect(delivered)
-            dst_view.call_at(delivered, self._deliver_remote, comp, data,
-                             dst_addr, size, rkey, src_view, delivered)
-            return comp
-
         def deliver() -> None:
             try:
                 self.dst.mrs.validate(rkey, dst_addr, size, Access.REMOTE_WRITE)
@@ -232,50 +211,6 @@ class QueuePair:
         self.engine.call_at(delivered, deliver)
         return comp
 
-    # -- cross-shard put halves (see sim/shard.py) ----------------------------
-
-    def _deliver_remote(self, comp: Completion, data: bytes, dst_addr: int,
-                        size: int, rkey: int, src_view, delivered: float
-                        ) -> None:
-        """Receiver half of a cross-shard put, executing on the dst
-        shard at the delivery instant; mirrors ``deliver()`` above."""
-        now = self.dst.node.engine.now
-        try:
-            self.dst.mrs.validate(rkey, dst_addr, size, Access.REMOTE_WRITE)
-        except RkeyViolation:
-            src_view.resolve(delivered, self._retire_local, comp, False)
-            return
-        node = self.dst.node
-        if size:
-            node.mem.write(dst_addr, data)
-            occ = node.hier.dma_write(now, dst_addr, size, owner_core=None)
-            self.dst.rx_busy_until = max(self.dst.rx_busy_until, now) + occ
-            if _T.enabled:
-                _T.span(node_pid(node.node_id), TID_HCA, "rdma.dma_write",
-                        now, now + occ,
-                        {"size": size, "stash": node.hier.cfg.stash_enabled})
-        self.dst.bytes_rx += size
-        node.notify_write(dst_addr, size)
-        src_view.resolve(delivered, self._retire_local, comp, True)
-
-    def _retire_local(self, comp: Completion, ok: bool) -> None:
-        """Sender half: status + ACK on the src shard, same instant."""
-        now = self.engine.now
-        if not ok:
-            comp.status = WcStatus.REMOTE_ACCESS_ERROR
-            self.puts_failed += 1
-            self._inflight -= 1
-            comp.completed_at = now + self.link.ack_ns
-            self.engine.call_at(comp.completed_at, comp.event.fire, comp)
-            return
-        self._inflight -= 1
-        if _M.enabled:
-            _M.sample(f"tc_qp_inflight|src={self.src.node.node_id}"
-                      f"|dst={self.dst.node.node_id}", now, self._inflight)
-        comp.delivered_at = now
-        comp.completed_at = now + self.link.ack_ns
-        self.engine.call_at(comp.completed_at, comp.event.fire, comp)
-
     # -- one-sided read --------------------------------------------------------
 
     def post_get(self, now: float, dst_addr: int, src_addr: int, size: int,
@@ -298,14 +233,6 @@ class QueuePair:
             _T.span(node_pid(self.src.node.node_id), TID_HCA, "rdma.get",
                     now, done, {"size": size})
 
-        route = shard_route(self.engine, self.dst.node.engine)
-        if route is not None:
-            src_view, dst_view = route
-            src_view.expect(done)
-            dst_view.call_at(done, self._get_remote, comp, dst_addr,
-                             src_addr, size, rkey, src_view, done)
-            return comp
-
         def finish() -> None:
             try:
                 self.dst.mrs.validate(rkey, src_addr, size, Access.REMOTE_READ)
@@ -325,34 +252,6 @@ class QueuePair:
 
         self.engine.call_at(done, finish)
         return comp
-
-    def _get_remote(self, comp: Completion, dst_addr: int, src_addr: int,
-                    size: int, rkey: int, src_view, done: float) -> None:
-        """Remote half of a cross-shard get: validate + read on the dst
-        shard, then ship data back through the expect barrier."""
-        try:
-            self.dst.mrs.validate(rkey, src_addr, size, Access.REMOTE_READ)
-        except RkeyViolation:
-            src_view.resolve(done, self._get_finish, comp, None, dst_addr, 0)
-            return
-        data = self.dst.node.mem.read(src_addr, size)
-        self.dst.node.hier.dma_read(self.dst.node.engine.now, src_addr, size)
-        src_view.resolve(done, self._get_finish, comp, data, dst_addr, size)
-
-    def _get_finish(self, comp: Completion, data: bytes | None,
-                    dst_addr: int, size: int) -> None:
-        """Local half of a cross-shard get, on the src shard."""
-        now = self.engine.now
-        if data is None:
-            comp.status = WcStatus.REMOTE_ACCESS_ERROR
-            comp.completed_at = now
-            comp.event.fire(comp)
-            return
-        self.src.node.mem.write(dst_addr, data)
-        self.src.node.hier.dma_write(now, dst_addr, size, owner_core=None)
-        self.src.node.notify_write(dst_addr, size)
-        comp.delivered_at = comp.completed_at = now
-        comp.event.fire(comp)
 
     def fence(self) -> None:
         """Order subsequent posts after all prior deliveries (no-op cost on

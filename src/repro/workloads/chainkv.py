@@ -519,17 +519,14 @@ class ChainKV:
     # -- introspection / teardown -------------------------------------------
 
     def put_count(self, node_id: int) -> int:
-        """Replica-side ck_puts counter (how many puts applied there).
-
-        Read through the world (shard-routable: the node's memory may
-        live in a shard worker process) rather than the node object.
-        """
+        """Replica-side ck_puts counter (how many puts applied there)."""
         lib = self._pkg[node_id].library
-        return self.world.read_u64(node_id, lib.symbol("ck_puts"))
+        return self.world.node(node_id).mem.read_u64(lib.symbol("ck_puts"))
 
     def install_count(self, node_id: int) -> int:
         lib = self._pkg[node_id].library
-        return self.world.read_u64(node_id, lib.symbol("ck_installs"))
+        return self.world.node(node_id).mem.read_u64(
+            lib.symbol("ck_installs"))
 
     def element_got_addr(self, node_id: int, element: str) -> int:
         return self._pkg[node_id].element(element).got_addr

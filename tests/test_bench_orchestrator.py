@@ -9,6 +9,7 @@ round-trip, and direction-aware regression detection in ``bench diff``.
 from __future__ import annotations
 
 import json
+import os
 import re
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from repro.bench.orchestrator import (
     build_meta,
     diff_paths,
     diff_payloads,
+    resolve_jobs,
     resolve_names,
     run_figures,
     write_runs,
@@ -84,6 +86,16 @@ def test_resolve_names_rejects_unknown():
     assert resolve_names([CHEAP]) == [CHEAP]
     with pytest.raises(ValueError, match="nosuchfig"):
         resolve_names(["nosuchfig"])
+
+
+def test_jobs_auto_follows_the_cpu_affinity_mask(monkeypatch):
+    """Under taskset or a cgroup cpuset, --jobs auto must not count the
+    host's cores; meta.cpus records the same budget."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert resolve_jobs("auto") == 1
+    assert build_meta(fast=True, smoke=False, jobs=1)["cpus"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +184,7 @@ TOP_LEVEL_KEYS = {
 META_KEYS = {
     "generated_at", "host", "platform", "python", "git_sha",
     "code_version", "seed", "fast", "smoke", "jobs", "trace", "fork", "fuse",
-    "trace_jit", "metrics_enabled", "shards", "wall_clock_s",
+    "trace_jit", "metrics_enabled", "cpus", "wall_clock_s",
     "sweep_wall_s", "cache_hits", "cache_misses", "setup_cache",
     "sim_throughput", "metrics",
 }

@@ -63,6 +63,27 @@ class TestCorruptedFrames:
         with pytest.raises(MailboxError, match="unknown package"):
             world.engine.run()
 
+    def test_oversized_sections_rejected_by_waiter(self):
+        """A header whose payload size runs past its slot must not hand
+        the jam a range over the neighbouring frames."""
+        world, mb, conn, waiter, pkg, payload = setup_world()
+        waiter.start()
+
+        def sender():
+            yield from conn.send_jam(pkg, "jam_ss_sum", payload, 32)
+
+        slot = mb.slot_addr(0, 0)
+
+        def saboteur():
+            yield world.bed.node1.monitor_event(slot + mb.frame_size - 1)
+            # overwrite the payload size (header bytes 20..24)
+            world.bed.node1.mem.write_u32(slot + 20, 1 << 20)
+
+        world.engine.spawn(saboteur())
+        world.engine.spawn(sender())
+        with pytest.raises(MailboxError, match=f"only {mb.frame_size} fit"):
+            world.engine.run()
+
     def test_corrupted_code_faults_the_vm(self):
         world, mb, conn, waiter, pkg, payload = setup_world()
         waiter.start()
@@ -74,7 +95,8 @@ class TestCorruptedFrames:
 
         def saboteur():
             yield world.bed.node1.monitor_event(slot + mb.frame_size - 1)
-            view = unpack_header(world.bed.node1.mem.data, slot)
+            view = unpack_header(world.bed.node1.mem.data, slot,
+                                 frame_size=mb.frame_size)
             # stomp the entry instruction with an illegal opcode
             world.bed.node1.mem.write(slot + view.code_off, b"\xee" * 8)
 

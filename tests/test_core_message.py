@@ -1,5 +1,7 @@
 """Frame format and GOT-rewrite unit tests."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +38,7 @@ class TestFrameFormat:
                   seq=7, args=(1, 2), code=b"\x00" * 16,
                   payload=b"hello", gotp=0xBEEF)
         blob = pack_frame(f, 256)
-        v = unpack_header(blob)
+        v = unpack_header(blob, frame_size=256)
         assert (v.package_id, v.element_id, v.seq) == (0xAA55, 3, 7)
         assert v.args == (1, 2)
         assert v.code_size == 16 and v.payload_size == 5
@@ -60,8 +62,33 @@ class TestFrameFormat:
             pack_frame(Frame(1, 0, seq=256), 64)
 
     def test_bad_magic_rejected(self):
-        with pytest.raises(MailboxError, match="magic"):
-            unpack_header(b"\0" * 64)
+        """Bad headers raise MailboxError: wrong magic, a buffer shorter
+        than the header, or section sizes that overrun the slot."""
+        def header(code_size, payload_size):
+            blob = bytearray(pack_frame(Frame(1, 0), 64))
+            struct.pack_into("<II", blob, 16, code_size, payload_size)
+            return bytes(blob)
+
+        cases = [
+            (b"\0" * 64, 64, "magic"),
+            (b"", 64, "shorter than"),
+            (pack_frame(Frame(1, 0), 64)[:39], 64, "shorter than"),
+            # a 64 B frame claiming 64 KiB of code and 1 MiB of payload
+            (header(64 * 1024, 1 << 20), 64, "only 64 fit"),
+            (header(0, 64), 64, "claims 128 bytes"),
+            (header(2**32 - 1, 2**32 - 1), 64, "only 64 fit"),
+            # a fitting header in a buffer cut right after it
+            (header(8, 0)[:40], 64, "claims 64 bytes.*only 40 fit"),
+        ]
+        for blob, frame_size, match in cases:
+            with pytest.raises(MailboxError, match=match):
+                unpack_header(blob, frame_size=frame_size)
+        # the slot bound, not the buffer length, limits a mailbox frame
+        big = pack_frame(Frame(1, 0, payload=b"x" * 100), 192)
+        with pytest.raises(MailboxError, match="only 128 fit"):
+            unpack_header(big + b"\0" * 64, frame_size=128)
+        assert unpack_header(big + b"\0" * 64,
+                             frame_size=192).payload_size == 100
 
     @settings(max_examples=50, deadline=None)
     @given(code=st.binary(max_size=200).filter(lambda b: len(b) % 8 == 0),
@@ -73,7 +100,7 @@ class TestFrameFormat:
                   args=args, code=code, payload=payload)
         size = frame_wire_size(len(code), len(payload))
         blob = pack_frame(f, size)
-        v = unpack_header(blob)
+        v = unpack_header(blob, frame_size=size)
         assert v.code_size == len(code)
         assert v.payload_size == len(payload)
         assert v.args == args

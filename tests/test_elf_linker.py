@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.amc import compile_amc
+from repro.core.stdjams import build_std_package
 from repro.elf import build_shared_object, consts as C, read_elf
 from repro.errors import ElfError, UnresolvedSymbolError
 from repro.isa import Vm, assemble
@@ -36,6 +37,21 @@ WITH_DATA = """
 
 def build(source: str) -> bytes:
     return build_shared_object(assemble(source))
+
+
+# The std package's library image: the shape installed packages have on
+# disk, where a damaged file is outside input to read_elf.
+STD_ELF = build_std_package().library_elf
+_STD_EHDR = read_elf(STD_ELF).ehdr
+_flip_bit = st.one_of(
+    # ELF and program headers
+    st.integers(0, 8 * (_STD_EHDR.e_phoff
+                        + _STD_EHDR.e_phnum * C.PHDR_SIZE) - 1),
+    # section headers
+    st.integers(8 * _STD_EHDR.e_shoff, 8 * len(STD_ELF) - 1),
+    # anywhere, symbol and string tables included
+    st.integers(0, 8 * len(STD_ELF) - 1),
+)
 
 
 class TestElfFormat:
@@ -102,6 +118,23 @@ class TestElfFormat:
     def test_truncated_rejected(self):
         with pytest.raises(ElfError):
             read_elf(b"\x7fELF\x02\x01")
+        # every prefix of a real image parses or raises ElfError
+        for n in range(len(STD_ELF)):
+            try:
+                read_elf(STD_ELF[:n])
+            except ElfError:
+                pass
+
+    @settings(max_examples=400, deadline=None)
+    @given(bits=st.lists(_flip_bit, min_size=1, max_size=3))
+    def test_bit_flips_parse_or_raise_elf_error(self, bits):
+        blob = bytearray(STD_ELF)
+        for bit in bits:
+            blob[bit >> 3] ^= 1 << (bit & 7)
+        try:
+            read_elf(bytes(blob))
+        except ElfError:
+            pass
 
     @settings(max_examples=20, deadline=None)
     @given(ret=st.integers(-1000, 1000))
