@@ -14,8 +14,9 @@ Entries (x-axis is categorical for most):
 * ``abl_security``  — latency cost of the §V security reconfigurations
 * ``abl_got``       — GOT rewrite pass: structural before/after counts
 * ``abl_tracejit``  — loop-based (non-intrinsic) sum latency vs payload;
-  the one sweep whose jam carries a hot guest loop, so it exercises the
-  VM's cross-branch trace JIT (rows are identical with ``--no-trace``)
+  the one sweep whose jam carries a hot guest loop.  Its ``notes`` still
+  name a cross-branch trace JIT the VM no longer has: they are part of
+  the committed payload, which CI compares byte for byte.
 """
 
 from __future__ import annotations
@@ -378,7 +379,7 @@ register(FigureSpec(
 
 
 # ---------------------------------------------------------------------------
-# abl_tracejit: hot guest loop latency (the trace-JIT workload)
+# abl_tracejit: hot guest loop latency
 # ---------------------------------------------------------------------------
 
 def _points_tracejit(fast: bool) -> list[dict]:

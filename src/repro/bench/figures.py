@@ -25,7 +25,6 @@ from ..core.config import RuntimeConfig, WaitMode
 from ..core.stdworld import World, shared_world
 from ..machine.hierarchy import HierarchyConfig
 from ..machine.noise import StressConfig
-from ..sim.trace import Scoreboard
 from .calibration import (
     BYTE_SIZES,
     INT_COUNTS,
@@ -130,12 +129,11 @@ def assemble(spec: FigureSpec, rows: list[dict]) -> FigureResult:
         raise ValueError(f"{spec.name}: no sweep points")
     keys = [k for k in rows[0] if k != "x" and not k.startswith("_")]
     # Per-point counter dicts (shipped back from pool workers as plain
-    # dicts) fold through a Scoreboard — same merge the workers' own
-    # boards would use if they survived the process boundary.
-    board = Scoreboard()
+    # dicts) sum into the figure's counters.
+    counters: dict[str, int] = {}
     for row in rows:
-        board.merge(row.get("_counters", {}))
-    counters = {name: int(value) for name, value in board.counters.items()}
+        for name, value in row.get("_counters", {}).items():
+            counters[name] = counters.get(name, 0) + value
     result = FigureResult(
         figure=spec.name,
         title=spec.title,
@@ -143,7 +141,8 @@ def assemble(spec: FigureSpec, rows: list[dict]) -> FigureResult:
         x=[row["x"] for row in rows],
         series={k: [row[k] for row in rows] for k in keys},
         notes=spec.notes,
-        counters=dict(sorted(counters.items())),
+        counters={name: int(value)
+                  for name, value in sorted(counters.items())},
     )
     if spec.metrics is not None:
         result.metrics = spec.metrics(result)

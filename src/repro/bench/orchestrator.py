@@ -187,8 +187,7 @@ def _exec_point(task: tuple[str, dict, bool, bool]
             hits1 - hits0, misses1 - misses0)
 
 
-def _exec_group(task: tuple[list[tuple[str, dict, bool, bool]],
-                            bool, bool, bool]
+def _exec_group(task: tuple[list[tuple[str, dict, bool, bool]], bool]
                 ) -> list[tuple[dict, float, dict, dict | None, dict | None,
                                 int, int]]:
     """Pool worker: run one setup-key group of sweep points, in order.
@@ -198,16 +197,9 @@ def _exec_group(task: tuple[list[tuple[str, dict, bool, bool]],
     forks the warm worlds its predecessors built instead of repaying
     the build+link prefix.  The cache is torn down afterwards — pool
     workers may process several groups and must not leak worlds between
-    them.  ``fuse`` and ``trace_jit`` carry the VM compilation-tier
-    switches into pool workers (process-global state does not travel
-    with the task otherwise).
+    them.
     """
-    group, fork, fuse, trace_jit = task
-    from ..isa import vm as _vm
-    prev_fuse = _vm.fusion_enabled()
-    prev_trace = _vm.trace_jit_enabled()
-    _vm.set_fusion(fuse)
-    _vm.set_trace_jit(trace_jit)
+    group, fork = task
     if fork:
         SETUP_CACHE.enabled = True
         SETUP_CACHE.clear()
@@ -216,8 +208,6 @@ def _exec_group(task: tuple[list[tuple[str, dict, bool, bool]],
     finally:
         SETUP_CACHE.enabled = False
         SETUP_CACHE.clear()
-        _vm.set_fusion(prev_fuse)
-        _vm.set_trace_jit(prev_trace)
 
 
 def available_cpus() -> int:
@@ -280,7 +270,6 @@ def run_figures(names: list[str] | None = None, *, fast: bool = True,
                 smoke: bool = False, jobs: int | str = 1,
                 store: ResultStore | None = None,
                 trace: bool = False, fork: bool = True,
-                fuse: bool = True, trace_jit: bool = True,
                 metrics: bool = True,
                 log=None) -> list[FigureRun]:
     """Run the requested sweeps, reusing cached points, fanning out misses.
@@ -296,12 +285,6 @@ def run_figures(names: list[str] | None = None, *, fast: bool = True,
     the per-phase span durations to its record; traced runs skip cache
     *reads* (a cached row carries no spans) but still refresh the store,
     and tracing never changes the measured rows.
-    ``fuse=False`` (``--no-fuse``) disables the VM's basic-block fusion
-    JIT for the whole run — measured rows are identical either way (the
-    fusion-identity tests pin this); only wall-clock differs.
-    ``trace_jit=False`` (``--no-trace``) likewise disables the
-    cross-branch trace tier layered on fusion; the trace-identity tests
-    pin row equality, so only wall-clock differs.
     ``metrics`` (default on; ``--no-metrics`` clears it) captures the
     sim-time metrics registry around every executed point.  The stable
     snapshot is a deterministic pure function of the point, so — unlike
@@ -346,7 +329,7 @@ def run_figures(names: list[str] | None = None, *, fast: bool = True,
             + ("" if fork else ", fork disabled"))
 
     if group_tasks:
-        payload = [(g, fork, fuse, trace_jit) for g in group_tasks]
+        payload = [(g, fork) for g in group_tasks]
         if jobs > 1 and len(group_tasks) > 1:
             with multiprocessing.Pool(min(jobs, len(group_tasks))) as pool:
                 group_outs = pool.map(_exec_group, payload, chunksize=1)
@@ -403,7 +386,6 @@ def run_figures(names: list[str] | None = None, *, fast: bool = True,
 
 def build_meta(*, fast: bool, smoke: bool, jobs: int,
                trace: bool = False, fork: bool = True,
-               fuse: bool = True, trace_jit: bool = True,
                metrics: bool = True) -> dict:
     """Host/run metadata shared by every figure payload of one run.
 
@@ -423,8 +405,6 @@ def build_meta(*, fast: bool, smoke: bool, jobs: int,
         "jobs": jobs,
         "trace": trace,
         "fork": fork,
-        "fuse": fuse,
-        "trace_jit": trace_jit,
         "metrics_enabled": metrics,
         # The cores the run could use (the affinity mask, not the host
         # count): every wall-clock claim states it.

@@ -43,16 +43,11 @@ def _subsystem_of(path: str) -> str | None:
 
 
 def profile_figures(names: list[str] | None = None, *, fast: bool = True,
-                    smoke: bool = False, top: int = 12,
-                    hot_loops: bool = False) -> dict:
+                    smoke: bool = False, top: int = 12) -> dict:
     """Profile the named sweeps (all registered figures by default).
 
     ``smoke`` runs only the first point of each sweep — the CI quick
-    check.  ``hot_loops`` additionally collects the VM's trace-JIT
-    observability registries (profiled backward branches and installed
-    traces) and attaches a ``hot_loops`` block: the top back-edges by
-    dispatch count and per-anchor trace coverage.  Returns the
-    JSON-able report dict.
+    check.  Returns the JSON-able report dict.
     """
     names = resolve_names(names)
     registry = full_registry()
@@ -63,9 +58,6 @@ def profile_figures(names: list[str] | None = None, *, fast: bool = True,
             points = points[:1]
         tasks.extend((name, params) for params in points)
 
-    if hot_loops:
-        from ..isa import vm as _vm
-        _vm.reset_trace_observability()
     before = COUNTERS.snapshot()
     profiler = cProfile.Profile()
     t0 = time.perf_counter()
@@ -95,7 +87,7 @@ def profile_figures(names: list[str] | None = None, *, fast: bool = True,
             })
     hotspots.sort(key=lambda h: -h["tottime_s"])
 
-    report = {
+    return {
         "figures": names,
         "points": len(tasks),
         "smoke": smoke,
@@ -107,46 +99,6 @@ def profile_figures(names: list[str] | None = None, *, fast: bool = True,
               "calls": v["calls"]} for k, v in subsystems.items()),
             key=lambda s: -s["tottime_s"]),
         "hotspots": hotspots[:top],
-    }
-    if hot_loops:
-        sites, recs = _vm.trace_observability()
-        report["hot_loops"] = _hot_loops_block(sites, recs, counters, top)
-    return report
-
-
-def _hot_loops_block(sites: list, recs: list, counters: dict,
-                     top: int) -> dict:
-    """Reduce the VM's trace-JIT registries to a report block.
-
-    ``sites`` are profiled backward branches ``(node, pc, target, aux)``
-    with ``aux = [taken, not_taken, target, is_back]``; ``recs`` are
-    installed trace records ``(n0, fn, live, [dispatches, instrs],
-    info)``.  Coverage is the share of all retired instructions that
-    retired inside traces — the headline number for "is the trace tier
-    engaging on this workload".
-    """
-    back_edges = sorted(
-        ({"node": node, "branch_pc": pc, "target_pc": tgt,
-          "taken": aux[0], "not_taken": aux[1]}
-         for node, pc, tgt, aux in sites if aux[0] or aux[1]),
-        key=lambda s: -(s["taken"] + s["not_taken"]))[:top]
-    traces = sorted(
-        ({"node": info["node"], "anchor_pc": info["anchor"],
-          "loop": info["loop"], "guards": info["guards"],
-          "instrs_per_pass": info["instrs"], "dispatches": stats[0],
-          "instructions": stats[1], "live": live[0]}
-         for _n0, _fn, live, stats, info in recs),
-        key=lambda t: -t["dispatches"])[:top]
-    instrs = counters.get("instructions", 0)
-    traced = counters.get("trace_instructions", 0)
-    return {
-        "traces_compiled": counters.get("traces_compiled", 0),
-        "trace_dispatches": counters.get("trace_dispatches", 0),
-        "trace_instructions": traced,
-        "guard_bails": counters.get("guard_bails", 0),
-        "coverage_pct": round(100.0 * traced / instrs, 2) if instrs else 0.0,
-        "back_edges": back_edges,
-        "traces": traces,
     }
 
 
@@ -178,36 +130,4 @@ def render_profile_text(report: dict) -> str:
     for h in report["hotspots"]:
         lines.append(f"  {h['tottime_s']:>8.3f}s  {h['calls']:>10,}  "
                      f"{h['func']}")
-    hl = report.get("hot_loops")
-    if hl is not None:
-        lines += [
-            "",
-            "hot loops (trace JIT):",
-            f"  traces compiled        {hl['traces_compiled']:>14,}",
-            f"  trace dispatches       {hl['trace_dispatches']:>14,}"
-            f"   ({hl['guard_bails']:,} guard bails)",
-            f"  traced instructions    {hl['trace_instructions']:>14,}"
-            f"   ({hl['coverage_pct']:.2f}% of all retired)",
-        ]
-        if hl["back_edges"]:
-            lines.append("  top back-edges (taken / not-taken):")
-            for s in hl["back_edges"]:
-                lines.append(
-                    f"    n{s['node']} pc={s['branch_pc']:#x} -> "
-                    f"{s['target_pc']:#x}   {s['taken']:,} / "
-                    f"{s['not_taken']:,}")
-        else:
-            lines.append("  no profiled backward branches "
-                         "(straight-line or intrinsic-bound workload)")
-        if hl["traces"]:
-            lines.append("  installed traces (by dispatches):")
-            for t in hl["traces"]:
-                lines.append(
-                    f"    n{t['node']} anchor={t['anchor_pc']:#x} "
-                    f"{'loop' if t['loop'] else 'line'} "
-                    f"guards={t['guards']} "
-                    f"instrs/pass={t['instrs_per_pass']} "
-                    f"dispatches={t['dispatches']:,} "
-                    f"retired={t['instructions']:,}"
-                    f"{'' if t['live'] else ' (dead)'}")
     return "\n".join(lines)

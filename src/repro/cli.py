@@ -42,7 +42,6 @@ Subcommands mirror the toolchain a user of the real system would have:
 
       twochains profile fig8 --top 20
       twochains profile --quick --json prof.json   # CI smoke
-      twochains profile figchain --hot-loops       # trace-JIT coverage
 """
 
 from __future__ import annotations
@@ -106,11 +105,8 @@ def _cmd_perf(args) -> int:
     from .bench.shapes import am_injection_rate, am_pingpong
     from .core.config import RuntimeConfig, WaitMode
     from .core.stdworld import make_world
-    from .isa.vm import set_fusion, set_trace_jit
     from .machine.hierarchy import HierarchyConfig
 
-    set_fusion(not args.no_fuse)
-    set_trace_jit(not args.no_trace)
     hier = HierarchyConfig(stash_enabled=not args.nonstash,
                            prefetch_enabled=not args.noprefetch)
     mode = WaitMode.WFE if args.wfe else WaitMode.POLL
@@ -248,17 +244,14 @@ def _cmd_bench_run(args) -> int:
         store = ResultStore(cache_dir)
     fast = not args.full
     fork = not args.no_fork
-    fuse = not args.no_fuse
-    trace_jit = not args.no_trace
     metrics = not args.no_metrics
     runs = run_figures(names, fast=fast, smoke=args.smoke, jobs=jobs,
-                       store=store, trace=args.trace, fork=fork, fuse=fuse,
-                       trace_jit=trace_jit, metrics=metrics,
+                       store=store, trace=args.trace, fork=fork,
+                       metrics=metrics,
                        log=None if args.quiet else
                        (lambda m: print(m, file=sys.stderr)))
     meta = build_meta(fast=fast, smoke=args.smoke, jobs=jobs,
-                      trace=args.trace, fork=fork, fuse=fuse,
-                      trace_jit=trace_jit, metrics=metrics)
+                      trace=args.trace, fork=fork, metrics=metrics)
     paths = write_runs(runs, args.out, meta)
     if not args.quiet:
         print(render_runs_text(runs))
@@ -301,8 +294,7 @@ def _cmd_profile(args) -> int:
 
     try:
         report = profile_figures(args.figures or None, fast=not args.full,
-                                 smoke=args.quick, top=args.top,
-                                 hot_loops=args.hot_loops)
+                                 smoke=args.quick, top=args.top)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -361,12 +353,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="disable the stride prefetcher")
     p.add_argument("--stress", action="store_true",
                    help="run with the stress workload (pingpong only)")
-    p.add_argument("--no-fuse", action="store_true",
-                   help="disable the VM's basic-block fusion JIT "
-                        "(slower; measurements are identical either way)")
-    p.add_argument("--no-trace", action="store_true",
-                   help="disable the VM's cross-branch trace JIT "
-                        "(slower; measurements are identical either way)")
     p.add_argument("--iters", type=int, default=120)
     p.add_argument("--warmup", type=int, default=24)
     p.add_argument("--messages", type=int, default=1000)
@@ -432,12 +418,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="build every world fresh instead of forking warm "
                         "setup-cache checkpoints (slower; rows are "
                         "identical either way)")
-    b.add_argument("--no-fuse", action="store_true",
-                   help="disable the VM's basic-block fusion JIT "
-                        "(slower; rows are identical either way)")
-    b.add_argument("--no-trace", action="store_true",
-                   help="disable the VM's cross-branch trace JIT "
-                        "(slower; rows are identical either way)")
     b.add_argument("--no-metrics", action="store_true",
                    help="skip the metrics registry: no meta.metrics "
                         "block in the result files (rows are identical "
@@ -461,7 +441,7 @@ def make_parser() -> argparse.ArgumentParser:
     b.add_argument("--health", action="store_true",
                    help="compare direction-aware health indicators "
                         "derived from meta.metrics (fc-stall per send, "
-                        "guard-bail rate, dispatch p99, cache hit-rates)")
+                        "dispatch p99, cache hit-rates)")
     b.set_defaults(fn=_cmd_bench_diff)
 
     b = bsub.add_parser("list", help="list registered sweeps")
@@ -499,9 +479,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="full sweep axes (slower)")
     p.add_argument("--top", type=int, default=12,
                    help="hotspot count (default 12)")
-    p.add_argument("--hot-loops", action="store_true",
-                   help="report the trace JIT's hot back-edges and "
-                        "per-anchor trace coverage")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write the report as JSON")
     p.set_defaults(fn=_cmd_profile)

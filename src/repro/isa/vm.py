@@ -851,9 +851,8 @@ for _op, _compiler in {
 # in ``PhysicalMemory.block_deps`` so a write changing *their* bytes
 # drops the anchored block too (``memory._retire_code``).
 #
-# ``set_fusion(False)`` (CLI: ``--no-fuse``) degrades every entry to
-# the single-slot executors — the escape hatch the identity tests and
-# CI smoke job diff against.
+# ``set_fusion(False)`` degrades every entry to the single-slot
+# executors — the reference the identity tests diff against.
 # ---------------------------------------------------------------------------
 
 _FUSE_ENABLED = True
@@ -861,7 +860,7 @@ _FUSE_CAP = 32  # max instructions folded into one closure (codegen bound)
 
 
 def set_fusion(enabled: bool) -> None:
-    """Process-wide fusion switch (``--no-fuse``).
+    """Process-wide fusion switch; off is the identity tests' reference.
 
     Takes effect for lines compiled after the call; block tables cached
     under the other setting are keyed separately and never mixed.
@@ -872,94 +871,6 @@ def set_fusion(enabled: bool) -> None:
 
 def fusion_enabled() -> bool:
     return _FUSE_ENABLED
-
-
-# ---------------------------------------------------------------------------
-# Cross-branch trace tier (second compilation tier on top of fusion).
-#
-# Fusion ends every superblock at a control transfer, so a tight loop
-# still pays one dispatch per back-edge.  The trace tier watches those
-# terminating branches: every conditional branch slot carries a
-# taken/not-taken profile (attached at decode time), and when a
-# *backward* branch is observed hot and monomorphic the cache stitches
-# the blocks along the predicted path into one generated closure — a
-# trace.  Each inter-block transition is protected by a branch-direction
-# guard charging the interpreter's exact CPI, and a mispredict bails to
-# the dispatcher at the precise branch-exit pc with the branch already
-# retired (steps + 1), exactly as single-stepping would leave things.  A
-# back-edge whose predicted target is the trace anchor closes the trace
-# into a loop that retires thousands of instructions per dispatch; the
-# back-edge re-checks the step budget before every iteration so
-# ``max_steps`` faults land on the same instruction either way.
-#
-# Identity is by the same construction as fusion: generated traces
-# replay the interpreter's float-add sequence, line-transition ifetch
-# bookkeeping, fault pcs, and store/watchpoint semantics instruction by
-# instruction.  Bailing out is never observable — the dispatcher is
-# handed (pc, steps, current line) exactly as the interpreter would
-# have them, and proceeds identically.
-#
-# Invalidation: every 64-byte line a trace stitched over is registered
-# in ``PhysicalMemory.trace_deps``; any byte-changing write to one of
-# them flips the trace's shared live flag (``memory._kill_traces``).
-# The dispatcher checks the flag before entry, generated stores check
-# it right after the bytes land, and ``restore()`` kills all live
-# traces wholesale (the decode memo can reinstall a dispatch table that
-# still carries the dead record — the flag, not the record's presence,
-# is the source of truth).
-#
-# ``set_trace_jit(False)`` (CLI: ``--no-trace``) stops profiling,
-# compilation, *and* dispatch of already-installed traces — the A/B
-# escape hatch the identity tests and CI smoke job diff against.
-# ---------------------------------------------------------------------------
-
-_TRACE_ENABLED = True
-_TRACE_HOT = 32    # monomorphic-direction threshold before tracing
-_TRACE_CAP = 256   # max instructions stitched into one trace
-
-
-def set_trace_jit(enabled: bool) -> None:
-    """Process-wide trace-tier switch (``--no-trace``).
-
-    Unlike :func:`set_fusion` this also gates *dispatch*: a world built
-    with traces installed stops entering them the moment the flag goes
-    down (rows are identical either way; only wall-clock changes)."""
-    global _TRACE_ENABLED
-    _TRACE_ENABLED = bool(enabled)
-
-
-def trace_jit_enabled() -> bool:
-    return _TRACE_ENABLED
-
-
-# Conditional branches the trace tier can guard on:
-# opcode -> (taken comparison, not-taken comparison, signed operands).
-_GUARD_CMP = {
-    int(Op.BEQ): ("==", "!=", False),
-    int(Op.BNE): ("!=", "==", False),
-    int(Op.BLT): ("<", ">=", True),
-    int(Op.BGE): (">=", "<", True),
-    int(Op.BLTU): ("<", ">=", False),
-    int(Op.BGEU): (">=", "<", False),
-}
-
-# Observability registries for ``twochains profile --hot-loops``:
-# backward-branch profile sites [(node_id, branch_pc, target_pc, aux)]
-# and installed trace records.  Purely diagnostic — never read on the
-# hot path — and reset explicitly by the profiler.
-_PROFILE_SITES: list = []
-_TRACE_REGISTRY: list = []
-
-
-def reset_trace_observability() -> None:
-    """Clear the --hot-loops registries (profiler run boundary)."""
-    _PROFILE_SITES.clear()
-    _TRACE_REGISTRY.clear()
-
-
-def trace_observability() -> tuple[list, list]:
-    """(profile sites, installed trace records) — see profile.py."""
-    return _PROFILE_SITES, _TRACE_REGISTRY
 
 
 def _src_rr(expr):
@@ -1097,13 +1008,12 @@ def _src_load(size, fast_lines, checked):
 def _src_store(size, fast_lines, checked):
     """Source emitter for the store family (mirrors ``_store``): same
     fast paths as loads plus the dirty bit, the identical-bytes decode
-    keep, and the watchpoint probe.  After the bytes land the enclosing
-    code generator appends a self-modification bail: a fused block
-    verifies it still owns its dispatch-table slot, a trace verifies
-    its live flag — either way a store that changed code under the
-    closure hands control back to the dispatcher at the *next* pc so
-    the line re-decodes from the new bytes, exactly as single-stepping
-    would."""
+    keep, and the watchpoint probe.  After the bytes land the block
+    code generator appends a self-modification bail: the block verifies
+    it still owns its dispatch-table slot, so a store that changed code
+    under the closure hands control back to the dispatcher at the
+    *next* pc and the line re-decodes from the new bytes, exactly as
+    single-stepping would."""
     size1 = size - 1
 
     def emit(rd, rs1, rs2, imm, pc):
@@ -1147,9 +1057,8 @@ def _src_store(size, fast_lines, checked):
                     "    _ev.fire()",
                     "  else:",
                     f"   nwrite(_a, {size})"]
-        # the post-store invalidation bail is appended by the block /
-        # trace code generators — fused blocks re-check their dispatch
-        # table slot, traces their live flag
+        # the post-store invalidation bail (the block re-checks its
+        # dispatch-table slot) is appended by _gen_fused_code
         return out
     return emit
 
@@ -1349,204 +1258,6 @@ def _gen_fused_code(align: int, instrs):
     return code
 
 
-# (anchor alignment, plan, loop flag) -> compiled code object defining
-# ``_mk(_pc0, _lv) -> trace_fn``.  Position-independent like
-# ``_SRC_CACHE``: every pc/line/page constant is expressed relative to
-# ``_pc0`` and precomputed in the factory prelude, so one compile
-# serves every load address where the same shape recurs.
-_TRACE_SRC_CACHE: dict = {}
-
-
-def _gen_trace_code(align: int, plan: tuple, loop: bool):
-    """Compile (cached) the ``_mk`` factory source for a trace plan.
-
-    The generated ``_tr(vm, r, ebox, now, steps, budget)`` returns
-    ``(next_pc, steps, last_line)`` — the dispatcher's exact loop state
-    at the hand-back point (``last_line`` is the line of the last
-    *retired* instruction, what the dispatcher keeps in ``cur_line``).
-    Unit 0 runs without a budget check or entry transition: the
-    dispatcher's entry gate (``steps + n0 <= max_steps``) and its
-    just-completed line transition cover both, and the loop-closing
-    back-edge re-establishes the same invariant before every iteration.
-    """
-    key = (align, plan, loop)
-    code = _TRACE_SRC_CACHE.get(key)
-    if code is not None:
-        return code
-    mem_ops = _FUSE_MEM
-    has_mem = any(u[0] == "s" and any(ins[0] in mem_ops for ins in u[2])
-                  for u in plan)
-    prelude = ["def _mk(_pc0, _lv):"]
-    line_names: dict = {}
-    page_names: dict = {}
-    x_names: dict = {}
-
-    def lname(rel):
-        # one runtime line constant per distinct static line offset
-        lo = (align + rel) >> 6
-        nm = line_names.get(lo)
-        if nm is None:
-            nm = line_names[lo] = f"_ln{len(line_names)}"
-            prelude.append(f" {nm} = (_pc0 + {rel}) >> 6")
-        return nm
-
-    def pgname(rel):
-        lo = (align + rel) >> 6  # a 64-byte line never straddles a page
-        nm = page_names.get(lo)
-        if nm is None:
-            nm = page_names[lo] = f"_pg{len(page_names)}"
-            prelude.append(f" {nm} = (_pc0 + {rel}) >> {_PAGE_SHIFT}")
-        return nm
-
-    def xname(rel):
-        nm = x_names.get(rel)
-        if nm is None:
-            nm = x_names[rel] = f"_xp{len(x_names)}"
-            prelude.append(f" {nm} = _pc0 + {rel}")
-        return nm
-
-    body = [" def _tr(vm, r, ebox, now, steps, budget):",
-            "  C.trace_dispatches += 1",
-            "  _e = ebox[0]",
-            "  _co = vm.core",
-            "  _cp = vm.check_pages"]
-    if has_mem:
-        body += ["  _d1 = l1d[_co]",
-                 "  _dmg = _d1._map.get",
-                 "  _dmask = _d1._set_mask",
-                 "  _wt = node._watch"]
-    if loop:
-        body.append("  while True:")
-        ind = "   "
-    else:
-        ind = "  "
-
-    def transition(rel):
-        # replay of the dispatcher's line-transition bookkeeping (same
-        # shape as the fused-block crossing: exec-permission probe,
-        # sequential-L1I fast path, elapsed box materialized around
-        # every hierarchy call)
-        x, n, g = xname(rel), lname(rel), pgname(rel)
-        body.extend(ind + ln for ln in (
-            "ebox[0] = _e",
-            f"if _cp and prot[{g}] & PX != PX:",
-            f" check_exec({x}, 8)",
-            f"if last_if[_co] + 1 == {n}:",
-            " _l1 = l1i[_co]",
-            f" _w = _l1._map.get({n})",
-            " if _w is None:",
-            f"  ebox[0] += access_line(now + ebox[0], _co, {n}, 'ifetch')",
-            " else:",
-            "  C.cache_probes += 1",
-            f"  last_if[_co] = {n}",
-            "  _l1.hits += 1",
-            "  _l1._tick += 1",
-            f"  _l1.lru[{n} & _l1._set_mask][_w] = _l1._tick",
-            "  ebox[0] += L1LAT",
-            "else:",
-            f" ebox[0] += access_line(now + ebox[0], _co, {n}, 'ifetch')",
-            "_e = ebox[0]",
-        ))
-
-    first = plan[0]
-    n0 = len(first[2]) if first[0] == "s" else 1
-    anchor_lo = align >> 6
-    prev_lo = anchor_lo  # the dispatcher transitioned the anchor's line
-    prev_rel = 0
-    for ui, unit in enumerate(plan):
-        kind = unit[0]
-        if kind == "s":
-            _k, rel0, instrs = unit
-            n_run = len(instrs)
-            if ui:
-                body += [ind + f"if steps + {n_run} > budget:",
-                         ind + " ebox[0] = _e",
-                         ind + f" return _pc0 + {rel0}, steps, "
-                               f"{lname(prev_rel)}"]
-            for j, (op, rd, rs1, rs2, imm) in enumerate(instrs):
-                rel = rel0 + 8 * j
-                lo = (align + rel) >> 6
-                if lo != prev_lo:
-                    transition(rel)
-                    prev_lo = lo
-                body.append(ind + "_e += C0")
-                body += [ind[:-1] + ln
-                         for ln in _FUSE_EMIT[op](rd, rs1, rs2, imm, rel)]
-                if op in _FUSE_STORE:
-                    # the store may have changed bytes under the trace
-                    body += [ind + "if not _lv[0]:",
-                             ind + " ebox[0] = _e",
-                             ind + f" return _pc0 + {rel + 8}, "
-                                   f"steps + {j + 1}, {lname(rel)}"]
-                prev_rel = rel
-            body.append(ind + f"steps += {n_run}")
-        elif kind == "g":
-            _k, rel, op, rs1, rs2, pred_taken, bail_rel, cont_rel = unit
-            if ui:
-                body += [ind + "if steps >= budget:",
-                         ind + " ebox[0] = _e",
-                         ind + f" return _pc0 + {rel}, steps, "
-                               f"{lname(prev_rel)}"]
-            lo = (align + rel) >> 6
-            if lo != prev_lo:
-                transition(rel)
-                prev_lo = lo
-            body.append(ind + "_e += C0")
-            cmp_taken, cmp_not, signed = _GUARD_CMP[op]
-            bail_cmp = cmp_not if pred_taken else cmp_taken
-            if signed:
-                body += [ind + f"_a = r[{rs1}]",
-                         ind + f"_b = r[{rs2}]",
-                         ind + "if _a & S:", ind + " _a -= T",
-                         ind + "if _b & S:", ind + " _b -= T",
-                         ind + f"if _a {bail_cmp} _b:"]
-            else:
-                body.append(ind + f"if r[{rs1}] {bail_cmp} r[{rs2}]:")
-            body += [ind + " C.guard_bails += 1",
-                     ind + " ebox[0] = _e",
-                     ind + f" return _pc0 + {bail_rel}, steps + 1, "
-                           f"{lname(rel)}"]
-            body.append(ind + "steps += 1")
-            prev_rel = rel
-            if cont_rel == 0 and loop:  # loop-closing back-edge
-                body += [ind + f"if steps + {n0} > budget:",
-                         ind + " ebox[0] = _e",
-                         ind + f" return _pc0, steps, {lname(rel)}"]
-                if prev_lo != anchor_lo:
-                    transition(0)
-                    prev_lo = anchor_lo
-        elif kind == "j":
-            _k, rel, tgt_rel = unit
-            if ui:
-                body += [ind + "if steps >= budget:",
-                         ind + " ebox[0] = _e",
-                         ind + f" return _pc0 + {rel}, steps, "
-                               f"{lname(prev_rel)}"]
-            lo = (align + rel) >> 6
-            if lo != prev_lo:
-                transition(rel)
-                prev_lo = lo
-            body.append(ind + "_e += C0")
-            body.append(ind + "steps += 1")
-            prev_rel = rel
-            if tgt_rel == 0 and loop:  # loop-closing back-edge
-                body += [ind + f"if steps + {n0} > budget:",
-                         ind + " ebox[0] = _e",
-                         ind + f" return _pc0, steps, {lname(rel)}"]
-                if prev_lo != anchor_lo:
-                    transition(0)
-                    prev_lo = anchor_lo
-        else:  # "x": hand back to the dispatcher (nothing retired here)
-            body += [ind + "ebox[0] = _e",
-                     ind + f"return _pc0 + {unit[1]}, steps, "
-                           f"{lname(prev_rel)}"]
-    body.append(" return _tr")
-    src = "\n".join(prelude + body)
-    code = compile(src, f"<trace:+{align}x{len(plan)}>", "exec")
-    _TRACE_SRC_CACHE[key] = code
-    return code
-
-
 class NodeCodeCache:
     """Per-node predecoded-code compiler, shared by every VM on the node.
 
@@ -1627,11 +1338,10 @@ class NodeCodeCache:
         cold.
 
         Returns (and caches in ``mem.code_blocks``) the 8-entry block
-        dispatch table — ``(n, fused_fn, slot_fn, aux, trace)`` per
-        slot, with ``n >= 2`` where a pure run starts (``aux`` holds
-        the run words), else ``n == 1`` and the plain slot executor
-        (``aux`` is a branch profile for conditional branches, else
-        None).  ``trace`` is the installed trace record, if any.
+        dispatch table — ``(n, fused_fn, slot_fn, aux)`` per slot,
+        with ``n >= 2`` where a pure run starts (``aux`` holds the run
+        words and the slot's offset into them), else ``n == 1``, the
+        plain slot executor and ``aux`` None.
         Closures are generated *lazily*: a fresh fusible entry carries
         ``fused_fn=None`` plus its instruction words, and the first
         dispatch patches the table in place (``materialize_slot``) —
@@ -1645,7 +1355,7 @@ class NodeCodeCache:
         mem = self.mem
         base = line << 6
         raw = bytes(mem._mv[base:base + 64])
-        key = (line, raw, _FUSE_ENABLED, _TRACE_ENABLED)
+        key = (line, raw, _FUSE_ENABLED)
         entry = self._decoded.get(key)
         if entry is not None:
             for dline, draw in entry[2]:
@@ -1690,7 +1400,7 @@ class NodeCodeCache:
         ``(line, raw bytes)`` follow-on lines whose instructions are
         baked into some emitted block (none when fusion is off).
         """
-        entries = [(1, s, s, None, None) for s in slots]
+        entries = [(1, s, s, None) for s in slots]
         if not _FUSE_ENABLED:
             return entries, ()
         mem = self.mem
@@ -1739,41 +1449,10 @@ class NodeCodeCache:
                 if n > _FUSE_CAP:
                     n = _FUSE_CAP
                 end = i + n
-                entries[i] = (n, None, slots[i], (run, i - k), None)
+                entries[i] = (n, None, slots[i], (run, i - k))
                 if end > max_end:
                     max_end = end
             k = j + 1
-        if _TRACE_ENABLED:
-            # Attach a taken/not-taken profile to every conditional
-            # branch slot (branches never fuse, so these are all n == 1
-            # entries), and a taken-only profile to every *backward*
-            # unconditional B — the shape compiled loops take (top-tested
-            # head, unconditional back-edge).  The dispatcher's
-            # single-step path updates it; a hot backward edge (either
-            # kind) triggers try_trace at its target.  Pure host-side
-            # bookkeeping — no timing.
-            guards = _GUARD_CMP
-            b_op = int(Op.B)
-            base = line << 6
-            node_id = self.node.node_id
-            for i in range(8):
-                op = fields[i * 5]
-                if entries[i][0] != 1:
-                    continue
-                imm = fields[i * 5 + 4]
-                if op in guards:
-                    pc = base + i * 8
-                    aux = [0, 0, pc + imm, imm < 0]
-                    s = slots[i]
-                    entries[i] = (1, s, s, aux, None)
-                    if imm < 0:
-                        _PROFILE_SITES.append((node_id, pc, pc + imm, aux))
-                elif op == b_op and imm < 0:
-                    pc = base + i * 8
-                    aux = [0, 0, pc + imm, True]
-                    s = slots[i]
-                    entries[i] = (1, s, s, aux, None)
-                    _PROFILE_SITES.append((node_id, pc, pc + imm, aux))
         deps = tuple(ext[:(max_end - 1) // 8]) if max_end > 8 else ()
         return entries, deps
 
@@ -1781,10 +1460,10 @@ class NodeCodeCache:
         """First dispatch of a lazily fused entry: generate the closure
         and patch the (memo-shared) block table in place."""
         blocks = self.mem.code_blocks[line]
-        n, _fn, single, aux, tr = blocks[k]
+        n, _fn, single, aux = blocks[k]
         run, off = aux
         fn = self._materialize((line << 6) + k * 8, run[off:off + n], blocks)
-        blocks[k] = (n, fn, single, aux, tr)
+        blocks[k] = (n, fn, single, aux)
         return fn
 
     def _materialize(self, pc0: int, instrs: tuple, blocks):
@@ -1799,210 +1478,6 @@ class NodeCodeCache:
             mk = self._mk_cache[key] = ns.pop("_mk")
         _C.blocks_compiled += 1
         return mk(pc0, blocks)
-
-    # -- trace tier ------------------------------------------------------
-
-    def try_trace(self, anchor_pc: int, t: float = 0.0, core: int = 0
-                  ) -> None:
-        """Attempt to stitch a trace anchored at a hot back-edge target.
-
-        Called from the dispatcher when a backward branch's profile
-        crosses the hot threshold (and again at every power-of-two
-        count, so a refused or invalidated trace gets retried).  Purely
-        host-side: walking, codegen, and installation charge no
-        simulated time; ``t``/``core`` only label the optional tracer
-        instant.
-        """
-        if anchor_pc & 7 or not (_FUSE_ENABLED and _TRACE_ENABLED):
-            return
-        mem = self.mem
-        if anchor_pc < 0 or anchor_pc + 8 > mem.size:
-            return
-        line = anchor_pc >> 6
-        k = (anchor_pc >> 3) & 7
-        blocks = mem.code_blocks.get(line)
-        if blocks is None:
-            blocks = self.compile_blocks(line)
-        e = blocks[k]
-        tr = e[4]
-        if tr is not None:
-            if tr[2][0]:
-                return  # live trace already anchored here
-            blocks[k] = (e[0], e[1], e[2], e[3], None)
-        planned = self._plan_trace(anchor_pc)
-        if planned is None:
-            return
-        plan, loop, total, nguards, covered = planned
-        code = _gen_trace_code(anchor_pc & 63, plan, loop)
-        mkey = ("trace", anchor_pc & 63, plan, loop)
-        mk = self._mk_cache.get(mkey)
-        if mk is None:
-            ns = self._fuse_ns
-            exec(code, ns)
-            mk = self._mk_cache[mkey] = ns.pop("_mk")
-        lv = [True]
-        fn = mk(anchor_pc, lv)
-        first = plan[0]
-        n0 = len(first[2]) if first[0] == "s" else 1
-        rec = (n0, fn, lv, [0, 0],
-               {"node": self.node.node_id, "anchor": anchor_pc,
-                "instrs": total, "guards": nguards, "loop": loop})
-        td = mem.trace_deps
-        for ln in covered:
-            lst = td.get(ln)
-            if lst is None:
-                td[ln] = [rec]
-            else:
-                lst.append(rec)
-        blocks = mem.code_blocks.get(line)
-        if blocks is None:  # planning recompiled the anchor line
-            blocks = self.compile_blocks(line)
-        e = blocks[k]
-        blocks[k] = (e[0], e[1], e[2], e[3], rec)
-        _C.traces_compiled += 1
-        _TRACE_REGISTRY.append(rec)
-        if _T.enabled:
-            _T.instant(node_pid(self.node.node_id), core, "trace.compile", t)
-
-    def _plan_trace(self, anchor_pc: int):
-        """Walk the predicted path from ``anchor_pc``; returns
-        ``(plan, loop, total, nguards, covered_lines)`` or None.
-
-        Plan items (pcs as rels relative to the anchor):
-
-        * ``('s', rel, instrs)`` — straight-line run of fusible ops
-        * ``('g', rel, op, rs1, rs2, pred_taken, bail_rel, cont_rel)``
-          — guarded conditional branch on the predicted path
-        * ``('j', rel, tgt_rel)`` — unconditional branch on the path
-        * ``('x', rel)`` — hand back to the dispatcher at ``rel``
-          (nothing retired at the exit pc itself)
-
-        A predicted target equal to the anchor closes the plan into a
-        loop.  Plans that neither close a loop nor cross a guard are
-        refused (fusion already covers straight lines), as are empty
-        ones.  Branches are only followed when their profile is hot and
-        monomorphic; everything else — calls, returns, computed jumps,
-        GOT loads, sub-word memory ops — exits the trace at its pc.
-        """
-        mem = self.mem
-        mem_size = mem.size
-        mv = mem._mv
-        cbget = mem.code_blocks.get
-        emit = _FUSE_EMIT
-        guards = _GUARD_CMP
-        b_op = int(Op.B)
-        lcache: dict = {}
-        plan: list = []
-        visited: set = set()
-        seg: list = []
-        seg_rel = 0
-        total = 0
-        nguards = 0
-        loop = False
-        pc = anchor_pc
-
-        def flush():
-            nonlocal seg
-            if seg:
-                plan.append(("s", seg_rel, tuple(seg)))
-                seg = []
-
-        while True:
-            rel = pc - anchor_pc
-            if (pc in visited or total >= _TRACE_CAP or pc & 7
-                    or pc < 0 or pc + 8 > mem_size):
-                flush()
-                plan.append(("x", rel))
-                break
-            ln = pc >> 6
-            f = lcache.get(ln)
-            if f is None:
-                base = ln << 6
-                f = lcache[ln] = _LINE_WORDS.unpack(
-                    bytes(mv[base:base + 64]))
-            i = ((pc >> 3) & 7) * 5
-            op = f[i]
-            if op in emit:
-                if not seg:
-                    seg_rel = rel
-                seg.append((op, f[i + 1], f[i + 2], f[i + 3], f[i + 4]))
-                visited.add(pc)
-                total += 1
-                pc += 8
-                continue
-            if op == b_op:
-                tgt = pc + f[i + 4]
-                flush()
-                if tgt == anchor_pc:
-                    plan.append(("j", rel, 0))
-                    visited.add(pc)
-                    total += 1
-                    loop = True
-                    break
-                if (tgt in visited or tgt & 7 or tgt < 0
-                        or tgt + 8 > mem_size):
-                    plan.append(("x", rel))
-                    break
-                plan.append(("j", rel, tgt - anchor_pc))
-                visited.add(pc)
-                total += 1
-                pc = tgt
-                continue
-            if op in guards:
-                aux = None
-                blocks = cbget(ln)
-                if blocks is None:
-                    blocks = self.compile_blocks(ln)
-                be = blocks[(pc >> 3) & 7]
-                if be[0] == 1:
-                    aux = be[3]
-                if aux is None:
-                    flush()
-                    plan.append(("x", rel))
-                    break
-                taken, ntaken = aux[0], aux[1]
-                big, small = ((taken, ntaken) if taken >= ntaken
-                              else (ntaken, taken))
-                if big < _TRACE_HOT // 2 or big < 8 * small:
-                    flush()  # not monomorphic (yet): exit before it
-                    plan.append(("x", rel))
-                    break
-                pred_taken = taken >= ntaken
-                tgt = aux[2] if pred_taken else pc + 8
-                bail = pc + 8 if pred_taken else aux[2]
-                if tgt & 7 or tgt < 0 or tgt + 8 > mem_size:
-                    flush()
-                    plan.append(("x", rel))
-                    break
-                flush()
-                if tgt == anchor_pc:
-                    plan.append(("g", rel, op, f[i + 2], f[i + 3],
-                                 pred_taken, bail - anchor_pc, 0))
-                    visited.add(pc)
-                    total += 1
-                    nguards += 1
-                    loop = True
-                    break
-                if tgt in visited:
-                    plan.append(("x", rel))
-                    break
-                plan.append(("g", rel, op, f[i + 2], f[i + 3], pred_taken,
-                             bail - anchor_pc, tgt - anchor_pc))
-                visited.add(pc)
-                total += 1
-                nguards += 1
-                pc = tgt
-                continue
-            # CALL / CALLR / RET / JR / LDG / LDGI / SEV / HALT / WFE /
-            # sub-word memory ops / illegal: not traceable
-            flush()
-            plan.append(("x", rel))
-            break
-
-        if total == 0 or not (loop or nguards):
-            return None
-        return (tuple(plan), loop, total, nguards,
-                {p >> 6 for p in visited})
 
     def compile_one(self, pc: int):
         """Uncached single-slot compile (misaligned-pc fallback)."""
@@ -2049,12 +1524,9 @@ class Vm:
         code_blocks = mem.code_blocks
         compile_blocks = self._code.compile_blocks
         materialize_slot = self._code.materialize_slot
-        try_trace = self._code.try_trace
-        trace_on = _TRACE_ENABLED  # per-call: the flag never flips mid-run
         m_on = _M.enabled  # per-call tier split for the metrics registry
         if m_on:
             m_fused0 = _C.fused_instructions
-            m_trace0 = _C.trace_instructions
 
         regs = [0] * NREGS
         for i, a in enumerate(args):
@@ -2120,31 +1592,6 @@ class Vm:
             if blocks is None:
                 blocks = compile_blocks(line)
             e = blocks[(pc >> 3) & 7]
-            tr = e[4]
-            if tr is not None and trace_on:
-                if tr[2][0]:
-                    if steps + tr[0] <= max_steps:
-                        # trace: one dispatch retires a whole predicted
-                        # path (possibly thousands of loop iterations);
-                        # returns the dispatcher's exact state at the
-                        # hand-back point.  tr[0] guarantees the first
-                        # unit fits the budget; every back-edge
-                        # re-checks before looping.
-                        s0 = steps
-                        pc, steps, cur_line = tr[1](self, regs, ebox,
-                                                    now, steps, max_steps)
-                        st = tr[3]
-                        st[0] += 1
-                        d = steps - s0
-                        st[1] += d
-                        _C.trace_instructions += d
-                        continue
-                else:
-                    # invalidated (store/DMA/restore under a stitched
-                    # line): detach the dead record; the branch profile
-                    # re-arms a rebuild at the next power-of-two count
-                    e = (e[0], e[1], e[2], e[3], None)
-                    blocks[(pc >> 3) & 7] = e
             n = e[0]
             if n > 1 and steps + n <= max_steps:
                 # fused superblock: one dispatch retires n instructions
@@ -2169,40 +1616,25 @@ class Vm:
                 # fault at the exact instruction count
                 steps += 1
                 ebox[0] += CPI_NS
-                npc = e[2](self, regs, ebox, now)
-                if n == 1 and trace_on:
-                    a = e[3]
-                    if a is not None:  # conditional branch: profile it
-                        if npc == a[2]:
-                            taken = a[0] + 1
-                            a[0] = taken
-                            if (a[3] and taken >= _TRACE_HOT
-                                    and not (taken & (taken - 1))):
-                                try_trace(a[2], now + ebox[0], core)
-                        else:
-                            a[1] += 1
-                pc = npc
+                pc = e[2](self, regs, ebox, now)
 
         elapsed = ebox[0]
         node.add_busy_ns(core, elapsed)
         _C.instructions += steps
         if m_on:
-            # Per-tier split: the trace (and therefore fused/interp)
-            # share depends on host-side profile counters that survive
-            # World.restore, so only the total is fork-stable.
+            # Per-tier split: it describes the host-side JIT, not the
+            # modelled machine, and moves with set_fusion while rows
+            # and the stable snapshot must not, so only the total is
+            # stable.
             nid = node.node_id
             fd = _C.fused_instructions - m_fused0
-            td = _C.trace_instructions - m_trace0
             end = now + elapsed
             _M.count(f"tc_vm_instructions_total|node={nid}", end, steps)
             _M.count(f"tc_vm_tier_instructions_total|node={nid}|tier=interp",
-                     end, steps - fd - td, stable=False)
+                     end, steps - fd, stable=False)
             if fd:
                 _M.count(f"tc_vm_tier_instructions_total|node={nid}"
                          "|tier=fused", end, fd, stable=False)
-            if td:
-                _M.count(f"tc_vm_tier_instructions_total|node={nid}"
-                         "|tier=trace", end, td, stable=False)
         if _T.enabled:
             _T.span(node_pid(node.node_id), core, "vm.call", now,
                     now + elapsed, {"steps": steps, "entry": entry})

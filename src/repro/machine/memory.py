@@ -56,27 +56,6 @@ class PhysicalMemory:
         # line to the anchor lines whose blocks must die with it.
         self.code_blocks: dict[int, object] = {}
         self.block_deps: dict[int, set[int]] = {}
-        # Cross-branch trace registry: line index -> list of trace
-        # records whose stitched blocks overlap that line (repro.isa.vm
-        # trace tier).  A trace record carries a one-element live flag
-        # (``rec[2]``); retiring any covered line flips it False, which
-        # the VM dispatcher observes before every trace entry.  Traces
-        # are never resurrected — the VM rebuilds from fresh profiles.
-        self.trace_deps: dict[int, list] = {}
-
-    def _kill_traces(self, line: int) -> None:
-        """Flip the live flag of every trace stitched over ``line``."""
-        recs = self.trace_deps.pop(line, None)
-        if recs is None:
-            return
-        inval = 0
-        for rec in recs:
-            lv = rec[2]
-            if lv[0]:
-                lv[0] = False
-                inval += 1
-        if inval:
-            _C.trace_invalidations += inval
 
     def _retire_code(self, addr: int, length: int) -> None:
         """Drop predecoded lines/blocks overlapping [addr, addr+length).
@@ -88,17 +67,15 @@ class PhysicalMemory:
         """
         cl = self.code_lines
         bd = self.block_deps
-        td = self.trace_deps
-        if (not cl and not bd and not td) or length <= 0:
+        if (not cl and not bd) or length <= 0:
             return
         cb = self.code_blocks
         first = addr >> 6
         last = (addr + length - 1) >> 6
-        if last - first < len(cl) + len(bd) + len(td):
+        if last - first < len(cl) + len(bd):
             lines = range(first, last + 1)
         else:  # huge write, small cache: intersect the other way
-            lines = [ln for ln in set(cl) | set(bd) | set(td)
-                     if first <= ln <= last]
+            lines = [ln for ln in set(cl) | set(bd) if first <= ln <= last]
         inval = 0
         for line in lines:
             if line in cl:
@@ -109,8 +86,6 @@ class PhysicalMemory:
                 for anchor in bd.pop(line):
                     if cb.pop(anchor, None) is not None:
                         inval += 1
-            if line in td:
-                self._kill_traces(line)
         if inval:
             _C.block_invalidations += inval
 
@@ -121,24 +96,19 @@ class PhysicalMemory:
         cl = self.code_lines
         cb = self.code_blocks
         bd = self.block_deps
-        td = self.trace_deps
         mv = self._mv
         first = addr >> 6
         last = (addr + length - 1) >> 6
-        if last - first < len(cl) + len(bd) + len(td):
+        if last - first < len(cl) + len(bd):
             lines = range(first, last + 1)
         else:
-            lines = [ln for ln in set(cl) | set(bd) | set(td)
-                     if first <= ln <= last]
+            lines = [ln for ln in set(cl) | set(bd) if first <= ln <= last]
         end = addr + length
         inval = 0
         for line in lines:
             # block anchors are always decoded lines (cb keys ⊆ cl keys),
-            # so membership in cl/bd covers cb too; trace units are
-            # stitched over decoded lines, but a trace may outlive the
-            # decode drop that preceded the re-decode, so td is checked
-            # independently
-            if line not in cl and line not in bd and line not in td:
+            # so membership in cl/bd covers cb too
+            if line not in cl and line not in bd:
                 continue
             lo = line << 6
             hi = lo + 64
@@ -156,8 +126,6 @@ class PhysicalMemory:
                 for anchor in bd.pop(line):
                     if cb.pop(anchor, None) is not None:
                         inval += 1
-            if line in td:
-                self._kill_traces(line)
         if inval:
             _C.block_invalidations += inval
 
@@ -179,8 +147,7 @@ class PhysicalMemory:
         # mv slice assignment accepts any contiguous bytes-like and skips
         # the frombuffer wrapper — measurably cheaper for the small
         # payloads (headers, descriptors) that dominate this path
-        if (self.code_lines or self.block_deps or self.trace_deps) \
-                and length > 0:
+        if (self.code_lines or self.block_deps) and length > 0:
             # per-line compare *before* the bytes land: redelivered code
             # (same function, new message) keeps its decode
             self._retire_changed(addr, memoryview(payload), length)
@@ -189,7 +156,7 @@ class PhysicalMemory:
     def fill(self, addr: int, length: int, value: int = 0) -> None:
         self._check(addr, length)
         self.data[addr : addr + length] = value & 0xFF
-        if self.code_lines or self.trace_deps:
+        if self.code_lines:
             self._retire_code(addr, length)
 
     # scalars (little-endian) ---------------------------------------------
@@ -201,7 +168,7 @@ class PhysicalMemory:
         self._check(addr, 8)
         b = (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
         mv = self._mv
-        if self.code_lines or self.block_deps or self.trace_deps:
+        if self.code_lines or self.block_deps:
             if mv[addr : addr + 8] == b:
                 return  # identical bytes (e.g. GOT re-patch): keep decodes
             mv[addr : addr + 8] = b
@@ -217,7 +184,7 @@ class PhysicalMemory:
         self._check(addr, 4)
         b = (value & 0xFFFFFFFF).to_bytes(4, "little")
         mv = self._mv
-        if self.code_lines or self.block_deps or self.trace_deps:
+        if self.code_lines or self.block_deps:
             if mv[addr : addr + 4] == b:
                 return
             mv[addr : addr + 4] = b
@@ -233,7 +200,7 @@ class PhysicalMemory:
         self._check(addr, 1)
         v = value & 0xFF
         mv = self._mv
-        if self.code_lines or self.block_deps or self.trace_deps:
+        if self.code_lines or self.block_deps:
             if mv[addr] == v:
                 return
             mv[addr] = v
@@ -270,11 +237,7 @@ class PhysicalMemory:
         the snapshot and must read as fresh zeros again).  The predecoded
         ``code_lines``/``code_blocks`` caches are dropped wholesale —
         this path bypasses the per-write ``_retire_code`` invalidation
-        contract.  Live traces are killed silently (no
-        ``trace_invalidations`` bump): a restore rewinds the world, it
-        is not a self-modifying-code event, and the VM's decode memo
-        may reinstall the same dispatch tables afterwards — the dead
-        live flag is what stops a stale trace from re-entering.
+        contract.
         """
         upto, blob = snap
         self.data[:upto] = np.frombuffer(blob, dtype=np.uint8)
@@ -284,11 +247,6 @@ class PhysicalMemory:
         self.code_lines.clear()
         self.code_blocks.clear()
         self.block_deps.clear()
-        if self.trace_deps:
-            for recs in self.trace_deps.values():
-                for rec in recs:
-                    rec[2][0] = False
-            self.trace_deps.clear()
 
     # vector views --------------------------------------------------------
     def view_i64(self, addr: int, count: int) -> np.ndarray:
@@ -299,7 +257,7 @@ class PhysicalMemory:
         if addr % 8:
             raise MemoryFault(f"unaligned i64 view at {addr:#x}", addr=addr)
         self._check(addr, count * 8)
-        if self.code_lines or self.trace_deps:
+        if self.code_lines:
             self._retire_code(addr, count * 8)
         return self.data[addr : addr + count * 8].view(np.int64)
 

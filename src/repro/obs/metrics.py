@@ -34,9 +34,9 @@ Most metrics are *stable*: bit-identical across ``--jobs`` settings and
 fork vs ``--no-fork`` world reuse, and therefore safe to embed in
 ``BENCH_<figure>.json`` ``meta.metrics`` (which the determinism tests
 require to be byte-identical).  A few are *unstable* — the per-tier VM
-instruction split depends on host-side trace-JIT profile counters that
-survive :meth:`World.restore`, so a pooled (forked) world can engage the
-trace tier earlier than a fresh one.  Unstable metrics are emitted with
+instruction split describes the host-side JIT, not the modelled machine:
+it moves with :func:`repro.isa.vm.set_fusion`, which the identity tests
+flip while requiring equal rows.  Unstable metrics are emitted with
 ``stable=False``; they still appear in Perfetto counter tracks and the
 Prometheus dump, but :meth:`MetricsRegistry.snapshot` excludes them when
 ``stable_only=True`` (the default for benchmark meta).

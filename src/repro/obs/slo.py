@@ -10,10 +10,6 @@ direction-aware indicators:
     ``Connection._wait_bank_free`` per active-message send
     (``tc_fc_stall_ns_total / tc_am_sends_total``).  Lower is better; a
     jump means flow control is throttling the injection path.
-``guard_bail_rate``
-    Trace-JIT guard bail-outs per trace dispatch, from
-    ``meta.sim_throughput``.  Lower is better; a jump means compiled
-    traces stopped matching the workload.
 ``mb_dispatch_p99_ns``
     Worst per-node p99 of the mailbox dispatch-latency histogram
     (``tc_mb_dispatch_ns``).  Lower is better.
@@ -36,7 +32,6 @@ from dataclasses import dataclass
 #: better-direction per indicator name (prefix match for labelled ones).
 HEALTH_DIRECTIONS = {
     "fc_stall_ns_per_send": "lower",
-    "guard_bail_rate": "lower",
     "mb_dispatch_p99_ns": "lower",
     "cache_hit_rate": "higher",
 }
@@ -44,7 +39,6 @@ HEALTH_DIRECTIONS = {
 #: absolute-delta floor below which a relative change is noise.
 HEALTH_FLOORS = {
     "fc_stall_ns_per_send": 1.0,     # ns per send
-    "guard_bail_rate": 0.005,        # bails per dispatch
     "mb_dispatch_p99_ns": 1.0,       # ns
     "cache_hit_rate": 0.005,         # rate points
 }
@@ -124,10 +118,6 @@ def health_indicators(payload: dict) -> dict[str, float]:
             # worst node is the honest summary: one cold node hides
             # inside a cross-node average.
             out[f"cache_hit_rate_{level}"] = min(means)
-    sim = meta.get("sim_throughput") or {}
-    dispatches = sim.get("trace_dispatches") or 0
-    if dispatches:
-        out["guard_bail_rate"] = sim.get("guard_bails", 0) / dispatches
     return out
 
 

@@ -26,23 +26,10 @@ Counting rules (kept deliberately coarse so the hot paths stay hot):
 * ``fused_dispatches`` — hot-loop dispatches that entered a fused
   block (each retires 2+ instructions in one call).
 * ``fused_instructions`` — instructions retired *inside* fused blocks
-  (exact across mid-block bail-outs; the fused/interp/trace tier split
-  feeds the per-tier metrics in docs/METRICS.md).
+  (exact across mid-block bail-outs; the fused/interp tier split feeds
+  the per-tier metrics in docs/METRICS.md).
 * ``block_invalidations`` — fused blocks dropped because a write
   changed bytes under them (stores, DMA, GOT patches).
-* ``traces_compiled`` — cross-branch trace closures generated by the
-  VM's trace tier (one per generated closure, not per memo hit).
-* ``trace_dispatches`` — hot-loop dispatches that entered a trace
-  (each may retire thousands of instructions in one call).
-* ``trace_instructions`` — instructions retired *inside* traces; with
-  ``instructions`` this yields the trace-coverage ratio that
-  ``twochains profile --hot-loops`` reports.
-* ``guard_bails`` — trace exits through a branch-direction guard whose
-  prediction missed (control returns to the dispatcher at the exact
-  branch pc).
-* ``trace_invalidations`` — live traces killed because a write changed
-  bytes under *any* stitched block (stores, DMA, GOT patches,
-  checkpoint restore).
 
 Counters are per-process; the orchestrator snapshots them around each
 sweep point and ships the deltas back from pool workers.
@@ -52,9 +39,7 @@ from __future__ import annotations
 
 _FIELDS = ("instructions", "cache_probes", "des_events", "sim_ns",
            "blocks_compiled", "fused_dispatches", "fused_instructions",
-           "block_invalidations",
-           "traces_compiled", "trace_dispatches", "trace_instructions",
-           "guard_bails", "trace_invalidations")
+           "block_invalidations")
 
 
 class SimCounters:

@@ -1,94 +1,31 @@
-"""Lightweight counters and sample recorders shared by the models.
+"""Named integer counters shared by the models.
 
 Components mutate a :class:`Scoreboard` rather than printing or logging;
-benchmarks read it afterwards.  Everything is plain dicts/lists so the hot
+benchmarks read it afterwards.  Counters are a plain dict so the hot
 path stays cheap.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable
-
-import numpy as np
 
 
 class Scoreboard:
-    """Named integer counters plus named sample series."""
+    """Named integer counters."""
 
     def __init__(self) -> None:
         self.counters: dict[str, int] = defaultdict(int)
-        self.samples: dict[str, list[float]] = defaultdict(list)
 
-    # counters -----------------------------------------------------------
     def bump(self, name: str, amount: int = 1) -> None:
         self.counters[name] += amount
 
     def count(self, name: str) -> int:
         return self.counters.get(name, 0)
 
-    # samples ------------------------------------------------------------
-    def record(self, name: str, value: float) -> None:
-        self.samples[name].append(value)
-
-    def record_many(self, name: str, values: Iterable[float]) -> None:
-        self.samples[name].extend(values)
-
-    def series(self, name: str) -> np.ndarray:
-        return np.asarray(self.samples.get(name, ()), dtype=np.float64)
-
-    def reset(self) -> None:
-        self.counters.clear()
-        self.samples.clear()
-
-    # merging --------------------------------------------------------------
-    def merge(self, other: "Scoreboard | dict") -> "Scoreboard":
-        """Fold another scoreboard (or a bare counter dict) into this one.
-
-        Counters add; sample series concatenate in call order.  This is
-        how the bench orchestrator combines per-point boards shipped
-        back from pool workers — a worker's Scoreboard object dies with
-        its process, but its counters travel in the point row and are
-        re-aggregated here.  Returns ``self`` for chaining.
-        """
-        if isinstance(other, Scoreboard):
-            counters = other.counters
-            for name, values in other.samples.items():
-                self.samples[name].extend(values)
-        else:
-            counters = other
-        for name, value in counters.items():
-            self.counters[name] += value
-        return self
-
-    def snapshot(self) -> dict[str, int]:
-        """Copy of the counters; used for interval deltas."""
+    def checkpoint(self) -> dict[str, int]:
+        """Copy of the counters for a later :meth:`restore`."""
         return dict(self.counters)
 
-    def checkpoint(self) -> tuple:
-        """Full state capture (counters AND samples) for :meth:`restore`;
-        unlike :meth:`snapshot` (counters only, for deltas) this supports
-        rewinding the board to an earlier point in time."""
-        return dict(self.counters), {k: v[:] for k, v in self.samples.items()}
-
-    def restore(self, state: tuple) -> None:
-        counters, samples = state
+    def restore(self, state: dict[str, int]) -> None:
         self.counters.clear()
-        self.counters.update(counters)
-        self.samples.clear()
-        for name, values in samples.items():
-            self.samples[name] = values[:]
-
-    def delta_since(self, snap: dict[str, int]) -> dict[str, int]:
-        out = {}
-        for name, value in self.counters.items():
-            d = value - snap.get(name, 0)
-            if d:
-                out[name] = d
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Scoreboard(counters={len(self.counters)}, "
-            f"series={len(self.samples)})"
-        )
+        self.counters.update(state)

@@ -183,8 +183,8 @@ TOP_LEVEL_KEYS = {
 
 META_KEYS = {
     "generated_at", "host", "platform", "python", "git_sha",
-    "code_version", "seed", "fast", "smoke", "jobs", "trace", "fork", "fuse",
-    "trace_jit", "metrics_enabled", "cpus", "wall_clock_s",
+    "code_version", "seed", "fast", "smoke", "jobs", "trace", "fork",
+    "metrics_enabled", "cpus", "wall_clock_s",
     "sweep_wall_s", "cache_hits", "cache_misses", "setup_cache",
     "sim_throughput", "metrics",
 }
@@ -194,8 +194,6 @@ SIM_THROUGHPUT_KEYS = {
     "instructions_per_s", "sim_ns_per_wall_s",
     "blocks_compiled", "fused_dispatches", "fused_instructions",
     "block_invalidations",
-    "traces_compiled", "trace_dispatches", "trace_instructions",
-    "guard_bails", "trace_invalidations",
 }
 
 

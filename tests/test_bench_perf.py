@@ -40,28 +40,17 @@ def test_counters_snapshot_delta_reset():
     c.fused_dispatches += 7
     c.fused_instructions += 80
     c.block_invalidations += 1
-    c.traces_compiled += 2
-    c.trace_dispatches += 5
-    c.trace_instructions += 900
-    c.guard_bails += 4
-    c.trace_invalidations += 1
     assert c.delta(before) == {"instructions": 10, "cache_probes": 4,
                                "des_events": 2, "sim_ns": 1.5,
                                "blocks_compiled": 3, "fused_dispatches": 7,
                                "fused_instructions": 80,
-                               "block_invalidations": 1,
-                               "traces_compiled": 2, "trace_dispatches": 5,
-                               "trace_instructions": 900, "guard_bails": 4,
-                               "trace_invalidations": 1}
+                               "block_invalidations": 1}
     c.reset()
     assert c.snapshot() == {"instructions": 0, "cache_probes": 0,
                             "des_events": 0, "sim_ns": 0.0,
                             "blocks_compiled": 0, "fused_dispatches": 0,
                             "fused_instructions": 0,
-                            "block_invalidations": 0,
-                            "traces_compiled": 0, "trace_dispatches": 0,
-                            "trace_instructions": 0, "guard_bails": 0,
-                            "trace_invalidations": 0}
+                            "block_invalidations": 0}
 
 
 def test_throughput_block_rates():
@@ -111,40 +100,6 @@ def test_profile_smoke_report_shape():
     json.dumps(report)
     text = render_profile_text(report)
     assert "simulator throughput" in text and CHEAP in text
-
-
-def test_profile_hot_loops_block():
-    # abl_tracejit's naive-sum loop is the trace-JIT workload: the
-    # hot_loops block must report compiled traces, profiled back-edges,
-    # and a dominant traced-instruction share.
-    report = profile_figures(["abl_tracejit"], smoke=True, hot_loops=True)
-    hl = report["hot_loops"]
-    assert hl["traces_compiled"] > 0
-    assert hl["trace_dispatches"] > 0
-    assert hl["coverage_pct"] > 50.0
-    assert hl["back_edges"] and hl["back_edges"][0]["taken"] > 0
-    t = hl["traces"][0]
-    assert t["loop"] and t["dispatches"] > 0 and t["instructions"] > 0
-    json.dumps(report)
-    text = render_profile_text(report)
-    assert "hot loops" in text and "top back-edges" in text
-
-
-def test_profile_hot_loops_empty_on_straightline_figures():
-    # Intrinsic-based sweeps have no guest loops: the block must render
-    # (with an explanatory line) rather than KeyError on empty lists.
-    report = profile_figures([CHEAP], smoke=True, hot_loops=True)
-    hl = report["hot_loops"]
-    assert hl["traces_compiled"] == 0 and hl["coverage_pct"] == 0.0
-    assert "no profiled backward branches" in render_profile_text(report)
-
-
-def test_cli_profile_hot_loops(tmp_path, capsys):
-    out = tmp_path / "profile.json"
-    assert cli_main(["profile", "abl_tracejit", "--quick", "--hot-loops",
-                     "--json", str(out)]) == 0
-    assert "hot loops (trace JIT)" in capsys.readouterr().out
-    assert json.loads(out.read_text())["hot_loops"]["traces_compiled"] > 0
 
 
 def test_cli_profile_quick(tmp_path, capsys):

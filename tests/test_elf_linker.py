@@ -1,5 +1,8 @@
 """ELF build/read roundtrips and loader/namespace behaviour."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,9 +10,11 @@ from hypothesis import strategies as st
 from repro.amc import compile_amc
 from repro.core.stdjams import build_std_package
 from repro.elf import build_shared_object, consts as C, read_elf
-from repro.errors import ElfError, UnresolvedSymbolError
+from repro.errors import ElfError, LinkError, ReproError, UnresolvedSymbolError
 from repro.isa import Vm, assemble
 from repro.linker import Loader, Namespace
+from repro.machine import Node
+from repro.sim import Engine
 from tests.util import fresh_node
 
 SIMPLE = """
@@ -42,7 +47,8 @@ def build(source: str) -> bytes:
 # The std package's library image: the shape installed packages have on
 # disk, where a damaged file is outside input to read_elf.
 STD_ELF = build_std_package().library_elf
-_STD_EHDR = read_elf(STD_ELF).ehdr
+_STD_IMG = read_elf(STD_ELF)
+_STD_EHDR = _STD_IMG.ehdr
 _flip_bit = st.one_of(
     # ELF and program headers
     st.integers(0, 8 * (_STD_EHDR.e_phoff
@@ -52,6 +58,69 @@ _flip_bit = st.one_of(
     # anywhere, symbol and string tables included
     st.integers(0, 8 * len(STD_ELF) - 1),
 )
+
+
+def _std_phdr(index: int, **fields) -> bytes:
+    """The std image with fields of one program header replaced."""
+    blob = bytearray(STD_ELF)
+    off = _STD_EHDR.e_phoff + index * C.PHDR_SIZE
+    blob[off:off + C.PHDR_SIZE] = replace(_STD_IMG.phdrs[index],
+                                          **fields).encode()
+    return bytes(blob)
+
+
+def _std_rela(index: int, **fields) -> bytes:
+    """The std image with fields of one relocation replaced."""
+    blob = bytearray(STD_ELF)
+    off = _STD_IMG.section(".rela.dyn").sh_offset + index * C.RELA_SIZE
+    blob[off:off + C.RELA_SIZE] = replace(_STD_IMG.relocations[index],
+                                          **fields).encode()
+    return bytes(blob)
+
+
+# Images that read_elf accepts but that would make the loader corrupt
+# node state or fail untyped.  The std image's first segment starts at
+# vaddr 0x1000, so a site at 0 lands in the allocation below the library.
+MALFORMED_LOADS = {
+    "reloc_site_outside_segments": _std_rela(0, r_offset=0),
+    "filesz_over_memsz": _std_phdr(1, p_offset=0, p_filesz=len(STD_ELF),
+                                   p_memsz=8),
+    "segment_past_image_end": _std_phdr(0, p_offset=len(STD_ELF) - 100),
+    "reloc_symbol_past_dynsym": _std_rela(
+        0, r_info=C.r_info(len(_STD_IMG.symbols), C.R_CHAIN_GLOB_DAT)),
+}
+
+# Enough node memory for the std library's ~1.1 MB span, small enough to
+# compare whole after every load attempt.
+_LOAD_MEM = 4 << 20
+
+
+def _load_into_fresh_node(blob: bytes) -> ReproError | None:
+    """Load ``blob`` into a node that already holds one allocation;
+    returns the loader's error, if any.
+
+    Only :class:`ReproError` subclasses may escape the loader; a
+    rejected image leaves memory, page permissions and the allocator
+    cursor untouched, and an accepted one writes only inside the span
+    it was allocated.
+    """
+    node = Node(Engine(), node_id=0, mem_size=_LOAD_MEM)
+    node.map_region(4096, label="below")
+    mem0 = node.mem.data.copy()
+    prot0 = node.pages.snapshot()
+    cursor0 = node.alloc.cursor
+    err = None
+    try:
+        Loader(node, Namespace()).load(blob, "lib.so")
+    except ReproError as exc:
+        err = exc
+        assert node.alloc.cursor == cursor0
+        assert node.pages.snapshot() == prot0
+    cursor1 = node.alloc.cursor
+    data = node.mem.data
+    assert np.array_equal(data[:cursor0], mem0[:cursor0])
+    assert np.array_equal(data[cursor1:], mem0[cursor1:])
+    return err
 
 
 class TestElfFormat:
@@ -134,7 +203,8 @@ class TestElfFormat:
         try:
             read_elf(bytes(blob))
         except ElfError:
-            pass
+            return
+        _load_into_fresh_node(bytes(blob))
 
     @settings(max_examples=20, deadline=None)
     @given(ret=st.integers(-1000, 1000))
@@ -197,6 +267,12 @@ class TestLoader:
         src = ".extern no_such_symbol\nf:\n ldg t0, no_such_symbol\n ret"
         with pytest.raises(UnresolvedSymbolError):
             Loader(node, Namespace()).load(build(src), "libbad.so")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LOADS))
+    def test_malformed_image_rejected_before_mapping(self, case):
+        blob = MALFORMED_LOADS[case]
+        read_elf(blob)  # parses: rejecting it is the loader's job
+        assert isinstance(_load_into_fresh_node(blob), (ElfError, LinkError))
 
     def test_cross_library_linking(self):
         """Library B calls a function exported by library A (remote-linking

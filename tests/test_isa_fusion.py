@@ -3,9 +3,10 @@
 Fusion is a pure host-side optimization: grouping straight-line slots
 into one closure must never change a measured value, a fault pc, or a
 step count.  These tests pin that contract — full-registry row identity
-against ``--no-fuse``, adversarial invalidation (self-modifying stores,
-GOT-style patches, bulk rewrites, cross-line deps), computed jumps into
-the middle of fused blocks, and exact ``max_steps`` accounting.
+against the unfused per-instruction executors, adversarial invalidation
+(self-modifying stores, GOT-style patches, bulk rewrites, cross-line
+deps), computed jumps into the middle of fused blocks, and exact
+``max_steps`` accounting.  Hot loops are covered in test_isa_trace.py.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def test_steps_and_elapsed_identical_across_modes():
 
 # ---------------------------------------------------------------------------
 # full-registry identity: every spec's smoke row is byte-identical
-# with fusion on and off (the --no-fuse contract)
+# with fusion on and off (the unfused executors are the reference)
 # ---------------------------------------------------------------------------
 
 def _row(spec, params):

@@ -1,13 +1,18 @@
-"""Cross-branch trace JIT tests.
+"""Hot-loop tests for the VM's fused-block tier.
 
-The trace tier stitches fused blocks across hot loop back-edges into
-one closure with guarded bail-outs.  Like fusion, it is a pure
-host-side optimization: it must never change a measured value, a fault
-pc, or a step count.  These tests pin that contract — full-registry
-row identity against ``--no-trace``, guard-mispredict bail pc
-exactness, self-modifying stores inside stitched loops, exact
-``max_steps`` accounting mid-trace, and restore/invalidation killing
-installed traces.
+A loop re-enters the same fused blocks across its back-edge.  Like all
+fusion, that must never change a measured value, a fault pc, or a step
+count.  These tests run hand-written loop programs fused and through
+the per-instruction executors (the unfused reference): loop-exit fault
+pc exactness, self-modifying stores inside a running loop, and exact
+``max_steps`` accounting mid-loop.  They also check that structured
+tracing (:data:`repro.obs.tracer.TRACER`) leaves every registered
+spec's smoke row unchanged.
+
+Some test names (``mid_trace``, ``kills_trace``, ``mispredict``) come
+from the cross-branch trace tier these loops were first written for.
+Fused blocks are now the only compiled tier (docs/ARCHITECTURE.md,
+"One JIT tier").
 """
 
 from __future__ import annotations
@@ -21,20 +26,19 @@ from repro.core.stdworld import SETUP_CACHE
 from repro.errors import VmFault
 from repro.isa import Vm, assemble
 from repro.isa import vm as vmmod
+from repro.obs.tracer import TRACER
 from repro.perf import COUNTERS
 from tests.util import fresh_node, raw_load
 
 
 @pytest.fixture(autouse=True)
-def _tiers_restored():
-    """Tests toggle the process-wide JIT flags; always restore them."""
-    prev_fuse = vmmod.fusion_enabled()
-    prev_trace = vmmod.trace_jit_enabled()
+def _fusion_restored():
+    """Tests toggle the process-wide fusion flag; always restore it."""
+    prev = vmmod.fusion_enabled()
     SETUP_CACHE.enabled = False
     SETUP_CACHE.clear()
     yield
-    vmmod.set_fusion(prev_fuse)
-    vmmod.set_trace_jit(prev_trace)
+    vmmod.set_fusion(prev)
     SETUP_CACHE.enabled = False
     SETUP_CACHE.clear()
 
@@ -50,7 +54,7 @@ def run(source, args=(), node=None, entry="f", max_steps=4_000_000):
 
 
 def outcome(source, args=(), max_steps=4_000_000):
-    """(kind, payload) for a run — comparable across trace modes."""
+    """(kind, payload) for a run — comparable across fusion modes."""
     try:
         res, *_ = run(source, args, max_steps=max_steps)
         return ("ok", res.ret, res.steps, res.elapsed_ns)
@@ -60,15 +64,14 @@ def outcome(source, args=(), max_steps=4_000_000):
 
 def both_modes(source, args=(), max_steps=4_000_000):
     vmmod.set_fusion(True)
-    vmmod.set_trace_jit(True)
-    traced = outcome(source, args, max_steps)
-    vmmod.set_trace_jit(False)
+    fused = outcome(source, args, max_steps)
+    vmmod.set_fusion(False)
     plain = outcome(source, args, max_steps)
-    return traced, plain
+    return fused, plain
 
 
 # ---------------------------------------------------------------------------
-# counters: the trace tier engages on hot loops, and only when enabled
+# hot loops: both back-edge shapes retire identically fused and unfused
 # ---------------------------------------------------------------------------
 
 # Conditional back-edge: `blt ... head` is both the loop's bottom test
@@ -101,64 +104,16 @@ exit:
 """
 
 
-def run_counters(source, args):
-    before = COUNTERS.snapshot()
-    res, *rest = run(source, args)
-    return res, COUNTERS.delta(before)
-
-
-def test_trace_compiles_on_hot_conditional_backedge():
-    vmmod.set_fusion(True)
-    vmmod.set_trace_jit(True)
-    res, d = run_counters(HOT_LOOP, (0, 100))
-    assert res.ret == 300
-    assert d["traces_compiled"] >= 1
-    assert d["trace_dispatches"] >= 1
-    assert d["trace_instructions"] > 100  # the loop retired in-trace
-    assert d["guard_bails"] >= 1          # the final exit mispredicts
-
-
-def test_trace_compiles_on_hot_unconditional_backedge():
-    # Compiled loops back-branch with an unconditional B; the forward
-    # exit test becomes the trace's guard.
-    vmmod.set_fusion(True)
-    vmmod.set_trace_jit(True)
-    res, d = run_counters(HOT_LOOP_B, (0, 100))
-    assert res.ret == 300
-    assert d["traces_compiled"] >= 1
-    assert d["trace_instructions"] > 100
-
-
-def test_no_trace_never_traces():
-    vmmod.set_fusion(True)
-    vmmod.set_trace_jit(False)
-    res, d = run_counters(HOT_LOOP, (0, 100))
-    assert res.ret == 300
-    assert d["traces_compiled"] == 0
-    assert d["trace_dispatches"] == 0
-    assert d["trace_instructions"] == 0
-
-
-def test_trace_tier_requires_fusion():
-    # Traces are stitched *from* fused blocks; with fusion off the tier
-    # must stay cold even when enabled.
-    vmmod.set_fusion(False)
-    vmmod.set_trace_jit(True)
-    res, d = run_counters(HOT_LOOP, (0, 100))
-    assert res.ret == 300
-    assert d["traces_compiled"] == 0
-
-
 def test_steps_and_elapsed_identical_across_modes():
     for src in (HOT_LOOP, HOT_LOOP_B):
-        traced, plain = both_modes(src, (0, 200))
-        assert traced == plain
-        assert traced[0] == "ok" and traced[1] == 600
+        fused, plain = both_modes(src, (0, 200))
+        assert fused == plain
+        assert fused[0] == "ok" and fused[1] == 600
 
 
 # ---------------------------------------------------------------------------
 # full-registry identity: every spec's smoke row is byte-identical
-# with the trace tier on and off (the --no-trace contract)
+# with structured tracing on and off
 # ---------------------------------------------------------------------------
 
 def _row(spec, params):
@@ -170,15 +125,19 @@ def test_rows_identical_with_and_without_traces(name):
     spec = full_registry()[name]
     params = spec.points(True)[0]  # smoke point
     vmmod.set_fusion(True)
-    vmmod.set_trace_jit(True)
-    traced = _row(spec, params)
-    vmmod.set_trace_jit(False)
+    try:
+        with TRACER.capture():
+            traced = _row(spec, params)
+        events = len(TRACER)
+    finally:
+        TRACER.clear()
     plain = _row(spec, params)
+    assert events > 0  # the traced run did record
     assert traced == plain
 
 
 # ---------------------------------------------------------------------------
-# guard mispredict: bail-out hands back at the exact pc
+# loop exit: the final, not-taken back-edge hands back at the exact pc
 # ---------------------------------------------------------------------------
 
 BAIL_FAULT = """
@@ -195,11 +154,9 @@ head:
 
 
 def test_mispredict_bail_pc_is_exact():
-    # The loop guard is predicted taken; the final iteration mispredicts
-    # and must hand back at exactly the fall-through pc — the div, whose
-    # fault pc pins it.
+    # The back-edge is taken 99 times; the final iteration falls
+    # through to exactly the next pc — the div, whose fault pc pins it.
     vmmod.set_fusion(True)
-    vmmod.set_trace_jit(True)
     om = assemble(BAIL_FAULT)
     _, node = fresh_node()
     vm = Vm(node)
@@ -207,23 +164,23 @@ def test_mispredict_bail_pc_is_exact():
     before = COUNTERS.snapshot()
     with pytest.raises(VmFault, match="division by zero") as exc:
         vm.call(syms["f"], (0, 100))
-    assert exc.value.pc == syms["f"] + 40  # the div, not the guard
-    assert COUNTERS.delta(before)["guard_bails"] >= 1
+    assert exc.value.pc == syms["f"] + 40  # the div, not the branch
+    assert COUNTERS.delta(before)["fused_dispatches"] >= 1
 
 
 def test_mispredict_fault_identical_across_modes():
-    traced, plain = both_modes(BAIL_FAULT, (0, 100))
-    assert traced == plain
-    assert traced[0] == "fault"
+    fused, plain = both_modes(BAIL_FAULT, (0, 100))
+    assert fused == plain
+    assert fused[0] == "fault"
 
 
 # ---------------------------------------------------------------------------
-# self-modifying store inside a stitched loop
+# self-modifying store inside a running loop
 # ---------------------------------------------------------------------------
 
 # Iteration 64 patches `slot` (addi +1 -> addi +100) from inside the
-# hot loop, after the trace over it has long been installed: the store
-# must kill the trace at the exact iteration, and the re-fused code
+# hot loop, after its blocks have long been fused: the store must drop
+# the block over `slot` at the exact iteration, and the re-fused code
 # must run the new semantics.  a0 = 64*1 + 36*100 = 3664 for a1=100.
 SELF_MOD_LOOP = """
 f:
@@ -249,45 +206,45 @@ donor:
 
 def test_self_modifying_store_kills_trace_and_refuses():
     vmmod.set_fusion(True)
-    vmmod.set_trace_jit(True)
     before = COUNTERS.snapshot()
     res, *_ = run(SELF_MOD_LOOP, (0, 100))
     d = COUNTERS.delta(before)
     assert res.ret == 64 + 36 * 100
-    assert d["traces_compiled"] >= 1
-    assert d["trace_invalidations"] >= 1
+    assert d["block_invalidations"] >= 1
 
 
 def test_self_modifying_store_identical_across_modes():
-    traced, plain = both_modes(SELF_MOD_LOOP, (0, 100))
-    assert traced == plain
-    assert traced[1] == 64 + 36 * 100
+    fused, plain = both_modes(SELF_MOD_LOOP, (0, 100))
+    assert fused == plain
+    assert fused[1] == 64 + 36 * 100
 
 
 def test_invalidated_trace_rebuilds_and_stays_correct():
-    # The iter-64 patch kills the trace; the back-edge profile keeps
-    # counting and re-traces the *patched* loop at the next
-    # power-of-two count, still inside the first call.
+    # The iteration-64 patch drops the block over `slot`; the loop
+    # re-fuses the *patched* code within the same call.
     vmmod.set_fusion(True)
-    vmmod.set_trace_jit(True)
     before = COUNTERS.snapshot()
     res, node, syms, vm = run(SELF_MOD_LOOP, (0, 100))
     assert res.ret == 3664
     d = COUNTERS.delta(before)
-    assert d["traces_compiled"] >= 2  # original + rebuild over the patch
-    assert d["trace_invalidations"] >= 1
-    before = COUNTERS.snapshot()
-    # patched code now adds 100 every iteration (the iter-64 store
-    # rewrites identical bytes, which keeps decodes and the live trace)
-    res2 = vm.call(syms["f"], (0, 100))
-    assert res2.ret == 100 * 100
-    d = COUNTERS.delta(before)
-    assert d["trace_dispatches"] >= 1  # the rebuilt trace serves call 2
-    assert d["traces_compiled"] == 0 and d["trace_invalidations"] == 0
+    assert d["block_invalidations"] >= 1
+    assert d["blocks_compiled"] >= 2  # original + rebuild over the patch
+    # patched code now adds 100 every iteration (the iteration-64 store
+    # rewrites identical bytes, which keeps the decode and its blocks).
+    # Call 2 may fuse the one block call 1 ran only before the patch
+    # dropped its decode; from call 3 on nothing compiles.
+    for most_compiled in (1, 0):
+        before = COUNTERS.snapshot()
+        res2 = vm.call(syms["f"], (0, 100))
+        assert res2.ret == 100 * 100
+        d = COUNTERS.delta(before)
+        assert d["fused_dispatches"] >= 1  # the rebuilt blocks serve it
+        assert d["block_invalidations"] == 0
+        assert d["blocks_compiled"] <= most_compiled
 
 
 # ---------------------------------------------------------------------------
-# max_steps: bulk retirement must not overshoot the limit
+# max_steps: looping through fused blocks must not overshoot the limit
 # ---------------------------------------------------------------------------
 
 def test_max_steps_mid_trace_identical_to_interpreter():
@@ -295,15 +252,14 @@ def test_max_steps_mid_trace_identical_to_interpreter():
     # landing mid-loop, at the boundary, and one short of it must fault
     # (or not) with identical pcs and counts in both modes.
     for limit in (50, 150, 302, 303):
-        traced, plain = both_modes(HOT_LOOP, (0, 100), max_steps=limit)
-        assert traced == plain, f"max_steps={limit}"
+        fused, plain = both_modes(HOT_LOOP, (0, 100), max_steps=limit)
+        assert fused == plain, f"max_steps={limit}"
     ok = outcome(HOT_LOOP, (0, 100), max_steps=303)
     assert ok[0] == "ok" and ok[2] == 303
 
 
 def test_max_steps_fault_pc_exact_mid_trace():
     vmmod.set_fusion(True)
-    vmmod.set_trace_jit(True)
     om = assemble(HOT_LOOP)
     _, node = fresh_node()
     vm = Vm(node)
@@ -311,28 +267,3 @@ def test_max_steps_fault_pc_exact_mid_trace():
     with pytest.raises(VmFault, match="step limit") as exc:
         vm.call(syms["f"], (0, 100), max_steps=302)
     assert exc.value.pc == syms["f"] + 40  # the final ret, step 303
-
-
-# ---------------------------------------------------------------------------
-# restore: checkpoint rewind kills installed traces
-# ---------------------------------------------------------------------------
-
-def test_restore_kills_installed_traces():
-    vmmod.set_fusion(True)
-    vmmod.set_trace_jit(True)
-    om = assemble(HOT_LOOP)
-    _, node = fresh_node()
-    vm = Vm(node)
-    syms = raw_load(node, om)
-    mem = node.mem
-    snap = mem.snapshot()
-    vm.call(syms["f"], (0, 100))
-    assert mem.trace_deps, "no trace installed over the hot loop"
-    recs = [rec for lst in mem.trace_deps.values() for rec in lst]
-    assert all(rec[2][0] for rec in recs)
-    mem.restore(snap)
-    assert not mem.trace_deps
-    assert not any(rec[2][0] for rec in recs)  # live flags flipped
-    # and the world still runs correctly after the rewind
-    res = vm.call(syms["f"], (0, 100))
-    assert res.ret == 300

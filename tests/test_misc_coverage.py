@@ -18,29 +18,6 @@ class TestScoreboard:
         assert board.count("x") == 5
         assert board.count("missing") == 0
 
-    def test_samples_and_series(self):
-        board = Scoreboard()
-        board.record("lat", 1.0)
-        board.record_many("lat", [2.0, 3.0])
-        assert board.series("lat").tolist() == [1.0, 2.0, 3.0]
-        assert board.series("none").size == 0
-
-    def test_snapshot_delta(self):
-        board = Scoreboard()
-        board.bump("a", 10)
-        snap = board.snapshot()
-        board.bump("a", 5)
-        board.bump("b", 1)
-        assert board.delta_since(snap) == {"a": 5, "b": 1}
-
-    def test_reset(self):
-        board = Scoreboard()
-        board.bump("a")
-        board.record("s", 1.0)
-        board.reset()
-        assert board.count("a") == 0
-        assert board.series("s").size == 0
-
 
 class TestExternDataReloc:
     def test_abs64_against_extern_symbol(self):

@@ -353,7 +353,7 @@ class TestMetaMetricsDeterminism:
 
 
 def _payload(figure="figchain", *, stall=1000.0, sends=100.0, p99=250.0,
-             hit=0.95, bails=0, dispatches=200):
+             hit=0.95):
     return {
         "figure": figure,
         "meta": {
@@ -375,8 +375,6 @@ def _payload(figure="figchain", *, stall=1000.0, sends=100.0, p99=250.0,
                          "p99": p99, "p999": 390.0},
                 },
             },
-            "sim_throughput": {"trace_dispatches": dispatches,
-                               "guard_bails": bails},
         },
     }
 
@@ -387,7 +385,6 @@ class TestHealthGate:
         assert ind["fc_stall_ns_per_send"] == pytest.approx(10.0)
         assert ind["mb_dispatch_p99_ns"] == 250.0
         assert ind["cache_hit_rate_l1d"] == 0.95
-        assert ind["guard_bail_rate"] == 0.0
 
     def test_no_metrics_payload_is_a_note(self):
         diffs, notes = health_diff_payloads({"figure": "fig5", "meta": {}},
@@ -415,17 +412,17 @@ class TestHealthGate:
 
     def test_tiny_absolute_deltas_are_noise(self):
         # doubles relatively, but moves far below the absolute floor
-        diffs, _ = health_diff_payloads(_payload(bails=0, stall=0.02),
-                                        _payload(bails=0, stall=0.04))
+        diffs, _ = health_diff_payloads(_payload(stall=0.02),
+                                        _payload(stall=0.04))
         stall = next(d for d in diffs if d.series == "fc_stall_ns_per_send")
         assert stall.mean_pct == pytest.approx(100.0)
         assert not stall.regression
 
     def test_zero_baseline_clamps_display_pct(self):
-        diffs, _ = health_diff_payloads(_payload(bails=0),
-                                        _payload(bails=100))
-        gb = next(d for d in diffs if d.series == "guard_bail_rate")
-        assert gb.regression and gb.mean_pct == 999.99
+        diffs, _ = health_diff_payloads(_payload(stall=0.0),
+                                        _payload(stall=1000.0))
+        fc = next(d for d in diffs if d.series == "fc_stall_ns_per_send")
+        assert fc.regression and fc.mean_pct == 999.99
 
     def test_one_sided_indicator_is_a_note(self):
         lopsided = _payload()

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.figures import full_registry
+from repro.bench.figures import FigureSpec, assemble, full_registry
 from repro.bench.orchestrator import build_meta, run_figures, write_runs
 from repro.cli import main as cli_main
 from repro.obs.attribution import (
@@ -38,7 +38,6 @@ from repro.obs.tracer import (
     Tracer,
     node_pid,
 )
-from repro.sim.trace import Scoreboard
 
 FIG = "fig7"
 BASELINE = Path(__file__).resolve().parent.parent / "results" / "bench"
@@ -116,30 +115,23 @@ class TestTracer:
 
 
 # ---------------------------------------------------------------------------
-# Scoreboard.merge (orchestrator fan-in)
+# figures.assemble: per-point counter fan-in (orchestrator)
 # ---------------------------------------------------------------------------
 
 class TestScoreboardMerge:
-    def test_merge_scoreboard_sums_counters_and_extends_samples(self):
-        a, b = Scoreboard(), Scoreboard()
-        a.bump("hits", 3)
-        a.record("lat", 1.0)
-        b.bump("hits", 2)
-        b.bump("misses", 7)
-        b.record("lat", 2.0)
-        b.record("bw", 9.0)
-        out = a.merge(b)
-        assert out is a  # chains
-        assert a.count("hits") == 5 and a.count("misses") == 7
-        assert a.samples["lat"] == [1.0, 2.0] and a.samples["bw"] == [9.0]
-        # the source board is untouched
-        assert b.count("hits") == 2 and b.samples["lat"] == [2.0]
-
     def test_merge_bare_dict_like_pool_workers_ship(self):
-        a = Scoreboard()
-        a.bump("x")
-        a.merge({"x": 4, "y": 1}).merge({"y": 2})
-        assert a.count("x") == 5 and a.count("y") == 3
+        # pool workers ship each point's node-board counters as a plain
+        # dict in the row; the figure's counters are their sum, by name
+        spec = FigureSpec(name="figX", title="t", x_label="x",
+                          points=lambda fast: [], point=lambda: {})
+        rows = [{"x": 1, "lat": 1.0, "_counters": {"x": 1}},
+                {"x": 2, "lat": 2.0, "_counters": {"x": 4, "y": 1}},
+                {"x": 3, "lat": 3.0, "_counters": {"y": 2}},
+                {"x": 4, "lat": 4.0}]
+        result = assemble(spec, rows)
+        assert result.counters == {"x": 5, "y": 3}
+        assert list(result.counters) == ["x", "y"]  # sorted by name
+        assert result.series == {"lat": [1.0, 2.0, 3.0, 4.0]}
 
 
 # ---------------------------------------------------------------------------
