@@ -117,9 +117,6 @@ def render_profile_text(report: dict) -> str:
         f"  DES events             {tp['des_events']:>14,}",
         f"  simulated ns           {tp['sim_ns']:>14,.0f}"
         f"   ({tp['sim_ns_per_wall_s']:,.0f} sim-ns/wall-s)",
-        f"  fused dispatches       {tp['fused_dispatches']:>14,}"
-        f"   ({tp['blocks_compiled']:,} blocks compiled, "
-        f"{tp['block_invalidations']:,} invalidated)",
         "",
         "time by subsystem (tottime):",
     ]

@@ -39,10 +39,6 @@ class PingPongOutcome:
     iters: int = 0
 
     @property
-    def cycles_per_iter(self) -> float:
-        return self.cycles_total / max(self.iters, 1)
-
-    @property
     def server_cycles_per_iter(self) -> float:
         return self.server_cycles / max(self.iters, 1)
 

@@ -97,10 +97,6 @@ class MemoryHierarchy:
                             for c in range(n)]
         self._snoop_set = [(self.l1i[c], self.l1d[c], self.l2[c],
                             self.l3[c >> 1]) for c in range(n)]
-        # stats
-        self.dma_stash_lines = 0
-        self.dma_dram_lines = 0
-        self.demand_dram_lines = 0
 
     # ------------------------------------------------------------------
     def sample_metrics(self, registry, now: float) -> None:
@@ -277,7 +273,6 @@ class MemoryHierarchy:
                                    "cache.miss.llc", now, {"kind": kind})
                     return cfg.ifetch_seq_llc_ns
                 self.dram.charge_bandwidth(now, 1)
-                self.demand_dram_lines += 1
                 if _T.enabled:
                     _T.instant(node_pid(self.node_id), core,
                                "cache.miss.dram", now, {"kind": kind})
@@ -345,9 +340,7 @@ class MemoryHierarchy:
             # A hot stream already has the line in flight: latency mostly
             # hidden, but the line still crosses the DRAM channel.
             self.dram.charge_bandwidth(now, 1)
-            self.demand_dram_lines += 1
             return cfg.prefetched_line_lat + self.dram.queue_delay(now) * 0.25
-        self.demand_dram_lines += 1
         return self.dram.access(now, 1)
 
     def access(self, now: float, core: int, addr: int, size: int, kind: str) -> float:
@@ -482,7 +475,6 @@ class MemoryHierarchy:
         llc.misses += 1
         covered = self.prefetchers[core].observe_miss(line)
         self._install_path(now, core, line, l1, write)
-        self.demand_dram_lines += 1
         if covered:
             self.dram.charge_bandwidth(now, 1)
             return self._stream_covered_ns
@@ -508,7 +500,6 @@ class MemoryHierarchy:
             # sets eager, so their dirty lines age under exact pollution.
             llc.settle(lines[0], lines[-1])
         if self.cfg.stash_enabled:
-            self.dma_stash_lines += len(lines)
             # Inline SetAssocCache.install for the LLC fill loop (every
             # payload line passes through here when stashing is on);
             # dirty evictions charge the DRAM ledger exactly as before.
@@ -557,7 +548,6 @@ class MemoryHierarchy:
             # 1.6 GHz -> 0.625ns/line; generous but the NOC is not the
             # bottleneck in this system.
             return len(lines) * 0.625
-        self.dma_dram_lines += len(lines)
         llc_map = llc._map
         for line in lines:
             if line in llc_map:
@@ -622,7 +612,8 @@ class MemoryHierarchy:
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Capture every cache level, DRAM ledger, prefetchers, and stats."""
+        """Capture every cache level, DRAM ledger, prefetchers, and the
+        sequential-ifetch state."""
         return {
             "l1i": [c.snapshot() for c in self.l1i],
             "l1d": [c.snapshot() for c in self.l1d],
@@ -632,9 +623,6 @@ class MemoryHierarchy:
             "dram": self.dram.snapshot(),
             "prefetchers": [p.snapshot() for p in self.prefetchers],
             "last_ifetch": list(self._last_ifetch),
-            "dma_stash_lines": self.dma_stash_lines,
-            "dma_dram_lines": self.dma_dram_lines,
-            "demand_dram_lines": self.demand_dram_lines,
         }
 
     def restore(self, snap: dict) -> None:
@@ -646,11 +634,7 @@ class MemoryHierarchy:
         self.dram.restore(snap["dram"])
         for pf, s in zip(self.prefetchers, snap["prefetchers"]):
             pf.restore(s)
-        # in-place: the VM's fused closures bind this list at codegen time
         self._last_ifetch[:] = snap["last_ifetch"]
-        self.dma_stash_lines = snap["dma_stash_lines"]
-        self.dma_dram_lines = snap["dma_dram_lines"]
-        self.demand_dram_lines = snap["demand_dram_lines"]
 
     # ------------------------------------------------------------------
     def flush_all(self) -> None:

@@ -50,42 +50,22 @@ class PhysicalMemory:
         # each time is pure waste.  An identical write is observationally
         # a no-op, so keeping the decode is always sound.
         self.code_lines: dict[int, object] = {}
-        # Fused-superblock cache: line index -> 8-entry dispatch table
-        # (repro.isa.vm fusion layer).  Blocks may *read* instructions
-        # from following lines; ``block_deps`` maps each such dependency
-        # line to the anchor lines whose blocks must die with it.
-        self.code_blocks: dict[int, object] = {}
-        self.block_deps: dict[int, set[int]] = {}
 
     def _retire_code(self, addr: int, length: int) -> None:
-        """Drop predecoded lines/blocks overlapping [addr, addr+length).
-
-        A line serving as a *dependency* of fused blocks anchored
-        elsewhere also kills those anchors' block tables (their closures
-        baked in this line's instructions); the anchors' per-slot
-        decodes stay valid and are kept.
-        """
+        """Drop predecoded lines overlapping [addr, addr+length)."""
         cl = self.code_lines
-        bd = self.block_deps
-        if (not cl and not bd) or length <= 0:
+        if not cl or length <= 0:
             return
-        cb = self.code_blocks
         first = addr >> 6
         last = (addr + length - 1) >> 6
-        if last - first < len(cl) + len(bd):
+        if last - first < len(cl):
             lines = range(first, last + 1)
         else:  # huge write, small cache: intersect the other way
-            lines = [ln for ln in set(cl) | set(bd) if first <= ln <= last]
+            lines = [ln for ln in cl if first <= ln <= last]
         inval = 0
         for line in lines:
-            if line in cl:
-                del cl[line]
-            if cb.pop(line, None) is not None:
+            if cl.pop(line, None) is not None:
                 inval += 1
-            if line in bd:
-                for anchor in bd.pop(line):
-                    if cb.pop(anchor, None) is not None:
-                        inval += 1
         if inval:
             _C.block_invalidations += inval
 
@@ -94,21 +74,17 @@ class PhysicalMemory:
         bytes land): drop only tracked lines whose overlapped bytes
         actually change.  ``payload`` must be a memoryview."""
         cl = self.code_lines
-        cb = self.code_blocks
-        bd = self.block_deps
         mv = self._mv
         first = addr >> 6
         last = (addr + length - 1) >> 6
-        if last - first < len(cl) + len(bd):
+        if last - first < len(cl):
             lines = range(first, last + 1)
         else:
-            lines = [ln for ln in set(cl) | set(bd) if first <= ln <= last]
+            lines = [ln for ln in cl if first <= ln <= last]
         end = addr + length
         inval = 0
         for line in lines:
-            # block anchors are always decoded lines (cb keys ⊆ cl keys),
-            # so membership in cl/bd covers cb too
-            if line not in cl and line not in bd:
+            if line not in cl:
                 continue
             lo = line << 6
             hi = lo + 64
@@ -118,14 +94,8 @@ class PhysicalMemory:
                 hi = end
             if mv[lo:hi] == payload[lo - addr:hi - addr]:
                 continue  # identical bytes: decode stays valid
-            if line in cl:
-                del cl[line]
-            if cb.pop(line, None) is not None:
-                inval += 1
-            if line in bd:
-                for anchor in bd.pop(line):
-                    if cb.pop(anchor, None) is not None:
-                        inval += 1
+            del cl[line]
+            inval += 1
         if inval:
             _C.block_invalidations += inval
 
@@ -147,7 +117,7 @@ class PhysicalMemory:
         # mv slice assignment accepts any contiguous bytes-like and skips
         # the frombuffer wrapper — measurably cheaper for the small
         # payloads (headers, descriptors) that dominate this path
-        if (self.code_lines or self.block_deps) and length > 0:
+        if self.code_lines and length > 0:
             # per-line compare *before* the bytes land: redelivered code
             # (same function, new message) keeps its decode
             self._retire_changed(addr, memoryview(payload), length)
@@ -168,7 +138,7 @@ class PhysicalMemory:
         self._check(addr, 8)
         b = (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
         mv = self._mv
-        if self.code_lines or self.block_deps:
+        if self.code_lines:
             if mv[addr : addr + 8] == b:
                 return  # identical bytes (e.g. GOT re-patch): keep decodes
             mv[addr : addr + 8] = b
@@ -184,7 +154,7 @@ class PhysicalMemory:
         self._check(addr, 4)
         b = (value & 0xFFFFFFFF).to_bytes(4, "little")
         mv = self._mv
-        if self.code_lines or self.block_deps:
+        if self.code_lines:
             if mv[addr : addr + 4] == b:
                 return
             mv[addr : addr + 4] = b
@@ -200,7 +170,7 @@ class PhysicalMemory:
         self._check(addr, 1)
         v = value & 0xFF
         mv = self._mv
-        if self.code_lines or self.block_deps:
+        if self.code_lines:
             if mv[addr] == v:
                 return
             mv[addr] = v
@@ -235,9 +205,8 @@ class PhysicalMemory:
         ``dirty_upto`` is the current write high-water mark: bytes between
         the snapshot bound and it are zeroed (they were allocated after
         the snapshot and must read as fresh zeros again).  The predecoded
-        ``code_lines``/``code_blocks`` caches are dropped wholesale —
-        this path bypasses the per-write ``_retire_code`` invalidation
-        contract.
+        ``code_lines`` cache is dropped wholesale — this path bypasses
+        the per-write ``_retire_code`` invalidation contract.
         """
         upto, blob = snap
         self.data[:upto] = np.frombuffer(blob, dtype=np.uint8)
@@ -245,8 +214,6 @@ class PhysicalMemory:
         if end > upto:
             self.data[upto:end] = 0
         self.code_lines.clear()
-        self.code_blocks.clear()
-        self.block_deps.clear()
 
     # vector views --------------------------------------------------------
     def view_i64(self, addr: int, count: int) -> np.ndarray:

@@ -53,11 +53,6 @@ class PageTable:
     def restore(self, snap: bytes) -> None:
         self.prot[:] = snap
 
-    def prot_of(self, addr: int) -> int:
-        if addr < 0 or addr >= self.mem_size:
-            raise MemoryFault(f"address out of range: {addr:#x}", addr=addr)
-        return self.prot[addr // PAGE_SIZE]
-
     def _check(self, addr: int, length: int, need: int, kind: str) -> None:
         if addr < 0 or addr + length > self.mem_size:
             raise MemoryFault(

@@ -30,16 +30,14 @@ catalogue.
 Stability
 ---------
 
-Most metrics are *stable*: bit-identical across ``--jobs`` settings and
-fork vs ``--no-fork`` world reuse, and therefore safe to embed in
-``BENCH_<figure>.json`` ``meta.metrics`` (which the determinism tests
-require to be byte-identical).  A few are *unstable* — the per-tier VM
-instruction split describes the host-side JIT, not the modelled machine:
-it moves with :func:`repro.isa.vm.set_fusion`, which the identity tests
-flip while requiring equal rows.  Unstable metrics are emitted with
-``stable=False``; they still appear in Perfetto counter tracks and the
-Prometheus dump, but :meth:`MetricsRegistry.snapshot` excludes them when
-``stable_only=True`` (the default for benchmark meta).
+Every metric the simulator emits is *stable*: bit-identical across
+``--jobs`` settings and fork vs ``--no-fork`` world reuse, and therefore
+safe to embed in ``BENCH_<figure>.json`` ``meta.metrics`` (which the
+determinism tests require to be byte-identical).  No call site emits
+``stable=False``.  The flag stays only because
+:meth:`MetricsRegistry.snapshot` carries it in every entry, and that
+snapshot format is what the benchmark's row oracle hashes
+(perfbench/worker.py); ``stable_only=True`` still filters on it.
 
 Histogram buckets
 -----------------

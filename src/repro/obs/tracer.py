@@ -35,7 +35,7 @@ Events are plain tuples ``(ph, pid, tid, name, ts, dur, args)`` where
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Iterator, Optional
+from typing import Iterator, Optional
 
 # Track-addressing conventions (see module docstring).
 PID_SIM = 0
@@ -131,8 +131,3 @@ class Tracer:
 
 #: The process-wide tracer every instrumented layer reports into.
 TRACER = Tracer()
-
-
-def span_key(event: tuple) -> tuple[Any, ...]:
-    """Stable sort key: (start, -dur) groups parents before children."""
-    return (event[4], -event[5])

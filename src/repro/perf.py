@@ -17,19 +17,17 @@ Counting rules (kept deliberately coarse so the hot paths stay hot):
   ``CallResult.steps``).
 * ``cache_probes`` — hierarchy line lookups: one per ``access_line``
   or ``_stream_line`` call, regardless of which level hit.
-* ``des_events`` — callbacks executed by ``Engine.run`` (bare
-  ``Engine.step`` calls outside ``run`` are not counted).
+* ``des_events`` — callbacks executed by ``Engine.run``.
 * ``sim_ns`` — simulated time advanced by ``Engine.run``.
-* ``blocks_compiled`` — fused superblock closures materialized by the
-  VM's basic-block fusion layer (one per generated closure, not per
-  memo hit).
-* ``fused_dispatches`` — hot-loop dispatches that entered a fused
-  block (each retires 2+ instructions in one call).
-* ``fused_instructions`` — instructions retired *inside* fused blocks
-  (exact across mid-block bail-outs; the fused/interp tier split feeds
-  the per-tier metrics in docs/METRICS.md).
-* ``block_invalidations`` — fused blocks dropped because a write
-  changed bytes under them (stores, DMA, GOT patches).
+* ``fused_instructions`` — always 0.  The fused-block tier that
+  retired instructions in bulk is gone; the field stays because the
+  benchmark's per-layer ledger (perfbench/ledger.py) reads it for
+  ``isa.fused_share``.
+* ``block_invalidations`` — predecoded lines dropped because a write
+  changed their bytes (stores, DMA, GOT patches; ``fill`` and
+  ``view_i64`` drop overlapping lines without comparing).  The name
+  dates from the fused-block tier; the ledger reads it for
+  ``isa.block_invalidations``.
 
 Counters are per-process; the orchestrator snapshots them around each
 sweep point and ships the deltas back from pool workers.
@@ -38,8 +36,7 @@ sweep point and ships the deltas back from pool workers.
 from __future__ import annotations
 
 _FIELDS = ("instructions", "cache_probes", "des_events", "sim_ns",
-           "blocks_compiled", "fused_dispatches", "fused_instructions",
-           "block_invalidations")
+           "fused_instructions", "block_invalidations")
 
 
 class SimCounters:

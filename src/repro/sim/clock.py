@@ -29,14 +29,6 @@ class ClockDomain:
         if self.freq_ghz <= 0:
             raise ValueError(f"{self.name}: frequency must be positive")
 
-    @property
-    def period_ns(self) -> float:
-        return 1.0 / self.freq_ghz
-
-    def cycles_to_ns(self, cycles: float) -> float:
-        """Duration in nanoseconds of ``cycles`` cycles."""
-        return cycles / self.freq_ghz
-
     def ns_to_cycles(self, ns: float) -> int:
         """Whole cycles elapsed in ``ns`` nanoseconds (rounded to nearest)."""
         return int(round(ns * self.freq_ghz))

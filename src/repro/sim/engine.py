@@ -13,7 +13,7 @@ layers: one heap, plain tuples, no per-event allocation beyond the tuple.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from ..errors import SimulationError
 from ..obs.tracer import PID_SIM, TID_DES, TRACER as _T
@@ -172,23 +172,6 @@ class Engine:
 
     # -- running ---------------------------------------------------------
 
-    def step(self) -> bool:
-        """Run one scheduled callback.  Returns False if the queue is empty."""
-        if not self._heap:
-            return False
-        t, _seq, fn, args = heapq.heappop(self._heap)
-        self.now = t
-        if _T.enabled:
-            # Name the dispatch after its target: a Process carries its
-            # name, an Event.fire its event name, else the qualname.
-            owner = getattr(fn, "__self__", None)
-            label = getattr(owner, "name", None)
-            if not isinstance(label, str):
-                label = getattr(fn, "__qualname__", "callback")
-            _T.instant(PID_SIM, TID_DES, label, t)
-        fn(*args)
-        return True
-
     def run(self, until: float | None = None, max_events: int = 50_000_000) -> None:
         """Run until the queue drains or simulated time passes ``until``.
 
@@ -200,10 +183,9 @@ class Engine:
         self._running = True
         t_start = self.now
         executed = 0
-        # The pop/dispatch below is step() inlined: the noise-heavy figures
-        # execute tens of millions of events per run, so the per-event
-        # attribute lookups (self._heap, heapq.heappop, _T.enabled) are
-        # hoisted out of the loop.  step() stays for external callers.
+        # The noise-heavy figures execute tens of millions of events per
+        # run, so the per-event attribute lookups (self._heap,
+        # heapq.heappop) are hoisted out of the loop.
         heap = self._heap
         pop = heapq.heappop
         try:
@@ -215,6 +197,9 @@ class Engine:
                 t, _seq, fn, args = pop(heap)
                 self.now = t
                 if _T.enabled:
+                    # Name the dispatch after its target: a Process carries
+                    # its name, an Event.fire its event name, else the
+                    # qualname.
                     owner = getattr(fn, "__self__", None)
                     label = getattr(owner, "name", None)
                     if not isinstance(label, str):
@@ -272,14 +257,6 @@ class Engine:
                 f"process {name} did not finish (now={self.now}); deadlock?"
             )
         return proc.result
-
-    # -- composite waits --------------------------------------------------
-
-    def all_of(self, procs: Iterable[Process]) -> ProcessBody:
-        """Process body that waits for all of ``procs`` to finish."""
-        for p in procs:
-            if not p.finished:
-                yield p.done_event
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Engine(now={self.now}, pending={len(self._heap)})"

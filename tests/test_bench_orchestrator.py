@@ -192,8 +192,7 @@ META_KEYS = {
 SIM_THROUGHPUT_KEYS = {
     "instructions", "cache_probes", "des_events", "sim_ns", "wall_s",
     "instructions_per_s", "sim_ns_per_wall_s",
-    "blocks_compiled", "fused_dispatches", "fused_instructions",
-    "block_invalidations",
+    "fused_instructions", "block_invalidations",
 }
 
 

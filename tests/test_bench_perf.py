@@ -36,19 +36,15 @@ def test_counters_snapshot_delta_reset():
     c.cache_probes += 4
     c.des_events += 2
     c.sim_ns += 1.5
-    c.blocks_compiled += 3
-    c.fused_dispatches += 7
     c.fused_instructions += 80
     c.block_invalidations += 1
     assert c.delta(before) == {"instructions": 10, "cache_probes": 4,
                                "des_events": 2, "sim_ns": 1.5,
-                               "blocks_compiled": 3, "fused_dispatches": 7,
                                "fused_instructions": 80,
                                "block_invalidations": 1}
     c.reset()
     assert c.snapshot() == {"instructions": 0, "cache_probes": 0,
                             "des_events": 0, "sim_ns": 0.0,
-                            "blocks_compiled": 0, "fused_dispatches": 0,
                             "fused_instructions": 0,
                             "block_invalidations": 0}
 

@@ -1,39 +1,25 @@
-"""Basic-block fusion JIT tests.
+"""Straight-line VM programs: invalidation, computed jumps, exact faults.
 
-Fusion is a pure host-side optimization: grouping straight-line slots
-into one closure must never change a measured value, a fault pc, or a
-step count.  These tests pin that contract — full-registry row identity
-against the unfused per-instruction executors, adversarial invalidation
-(self-modifying stores, GOT-style patches, bulk rewrites, cross-line
-deps), computed jumps into the middle of fused blocks, and exact
-``max_steps`` accounting.  Hot loops are covered in test_isa_trace.py.
+The predecoded interpreter caches each executable 64-byte line's slot
+executors in ``PhysicalMemory.code_lines``.  These tests pin that cache
+against the bytes it was decoded from — self-modifying stores, GOT-style
+patches, bulk rewrites, writes to the next line — and check that
+computed jumps into a line's interior, fault pcs and ``max_steps``
+accounting are exact.  Hot loops are covered in test_isa_trace.py.
+
+Some test names (``block``, ``refuses``) come from the fused-block tier
+these programs were first written for; the predecoded interpreter is
+now the VM's only tier (docs/ARCHITECTURE.md, "One VM tier").
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.bench.figures import full_registry
-from repro.core.stdworld import SETUP_CACHE
 from repro.errors import VmFault
 from repro.isa import Vm, assemble
-from repro.isa import vm as vmmod
 from repro.perf import COUNTERS
 from tests.util import fresh_node, native_got, raw_load
-
-
-@pytest.fixture(autouse=True)
-def _fusion_restored():
-    """Tests toggle the process-wide fusion flag; always restore it."""
-    prev = vmmod.fusion_enabled()
-    SETUP_CACHE.enabled = False
-    SETUP_CACHE.clear()
-    yield
-    vmmod.set_fusion(prev)
-    SETUP_CACHE.enabled = False
-    SETUP_CACHE.clear()
 
 
 def run(source, args=(), node=None, entry="f", max_steps=4_000_000):
@@ -48,7 +34,7 @@ def run(source, args=(), node=None, entry="f", max_steps=4_000_000):
 
 
 def outcome(source, args=(), max_steps=4_000_000):
-    """(kind, payload) for a run — comparable across fusion modes."""
+    """(kind, payload) for a run on a fresh node — comparable across runs."""
     try:
         res, *_ = run(source, args, max_steps=max_steps)
         return ("ok", res.ret, res.steps, res.elapsed_ns)
@@ -56,17 +42,10 @@ def outcome(source, args=(), max_steps=4_000_000):
         return ("fault", str(e), e.pc)
 
 
-def both_modes(source, args=(), max_steps=4_000_000):
-    vmmod.set_fusion(True)
-    fused = outcome(source, args, max_steps)
-    vmmod.set_fusion(False)
-    plain = outcome(source, args, max_steps)
-    return fused, plain
+def encoded(instr):
+    """The 8 instruction bytes of one assembled instruction."""
+    return assemble(f"f:\n    {instr}\n").text[:8]
 
-
-# ---------------------------------------------------------------------------
-# counters: fusion engages on straight-line code, and only when enabled
-# ---------------------------------------------------------------------------
 
 STRAIGHT = """
 f:
@@ -78,51 +57,6 @@ f:
     addi a0, a0, 5
     ret
 """
-
-
-def test_fused_run_bumps_counters():
-    vmmod.set_fusion(True)
-    before = COUNTERS.snapshot()
-    res, *_ = run(STRAIGHT)
-    d = COUNTERS.delta(before)
-    assert res.ret == 15
-    assert d["fused_dispatches"] >= 1
-    assert d["blocks_compiled"] >= 1
-
-
-def test_no_fuse_never_dispatches_blocks():
-    vmmod.set_fusion(False)
-    before = COUNTERS.snapshot()
-    res, *_ = run(STRAIGHT)
-    d = COUNTERS.delta(before)
-    assert res.ret == 15
-    assert d["fused_dispatches"] == 0
-    assert d["blocks_compiled"] == 0
-
-
-def test_steps_and_elapsed_identical_across_modes():
-    fused, plain = both_modes(STRAIGHT)
-    assert fused == plain
-
-
-# ---------------------------------------------------------------------------
-# full-registry identity: every spec's smoke row is byte-identical
-# with fusion on and off (the unfused executors are the reference)
-# ---------------------------------------------------------------------------
-
-def _row(spec, params):
-    return json.dumps(spec.point(**params), sort_keys=True)
-
-
-@pytest.mark.parametrize("name", sorted(full_registry()))
-def test_rows_identical_with_and_without_fusion(name):
-    spec = full_registry()[name]
-    params = spec.points(True)[0]  # smoke point
-    vmmod.set_fusion(True)
-    fused = _row(spec, params)
-    vmmod.set_fusion(False)
-    plain = _row(spec, params)
-    assert fused == plain
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +79,9 @@ donor:
 
 
 def test_self_modifying_store_bails_and_refuses():
-    # The store lands inside its own fused block: the block must bail at
-    # the exact pc, the decode must be dropped, and the patched
-    # instruction must execute with its new semantics.
-    vmmod.set_fusion(True)
+    # The store lands in the line it is executing from: the line's
+    # decode must be dropped, and the patched instruction must execute
+    # with its new semantics on the very next step.
     before = COUNTERS.snapshot()
     res, *_ = run(SELF_MODIFY)
     d = COUNTERS.delta(before)
@@ -156,41 +89,35 @@ def test_self_modifying_store_bails_and_refuses():
     assert d["block_invalidations"] >= 1
 
 
-def test_self_modifying_store_identical_across_modes():
-    fused, plain = both_modes(SELF_MODIFY)
-    assert fused == plain
-    assert fused[1] == 99
-
-
 def test_got_style_patch_drops_block_identical_repatch_keeps_it():
-    vmmod.set_fusion(True)
     res, node, syms, vm = run(STRAIGHT)
+    assert res.ret == 15
     mem = node.mem
-    line = syms["f"] >> 6
-    assert line in mem.code_blocks and line in mem.code_lines
+    f = syms["f"]
+    line = f >> 6
+    decode = mem.code_lines[line]
     # identical bytes (a GOT re-patch of the same target): decode stays
-    mem.write_u64(syms["f"], mem.read_u64(syms["f"]))
-    assert line in mem.code_blocks
-    # changed bytes: block and line decode both die
-    mem.write_u64(syms["f"], mem.read_u64(syms["f"]) ^ 0xFF)
-    assert line not in mem.code_blocks
+    mem.write_u64(f, mem.read_u64(f))
+    assert mem.code_lines.get(line) is decode
+    # changed bytes: the line's decode dies, and the new bytes run
+    mem.write_u64(f, int.from_bytes(encoded("movi a0, 100"), "little"))
     assert line not in mem.code_lines
+    assert vm.call(f).ret == 100 + 15
 
 
 def test_bulk_rewrite_identical_payload_keeps_block():
     # Message redelivery rewrites mailbox code with identical bytes —
-    # the selective _retire_changed path must keep the fused block.
-    vmmod.set_fusion(True)
+    # the selective _retire_changed path must keep the decode.
     res, node, syms, vm = run(STRAIGHT)
     mem = node.mem
     line = syms["f"] >> 6
+    decode = mem.code_lines[line]
     raw = mem.read(line << 6, 64)
     mem.write(line << 6, raw)
-    assert line in mem.code_blocks
+    assert mem.code_lines.get(line) is decode
     changed = bytearray(raw)
     changed[0] ^= 0xFF
     mem.write(line << 6, bytes(changed))
-    assert line not in mem.code_blocks
     assert line not in mem.code_lines
 
 
@@ -198,29 +125,25 @@ SPANNING = "f:\n" + "\n".join(
     f"    addi a0, a0, {i}" for i in range(1, 13)) + "\n    ret\n"
 
 
-def test_dep_line_write_kills_spanning_block():
-    # A block fused across a line boundary records the extension line in
-    # block_deps; a write that changes the extension must kill the
-    # anchor's block while keeping the anchor's per-slot decode.
-    vmmod.set_fusion(True)
+def test_next_line_write_drops_only_that_line():
+    # SPANNING runs across two lines; a write changing the second line
+    # drops its decode and keeps the first line's.
     res, node, syms, vm = run(SPANNING, args=(0,))
-    assert res.ret == sum(range(1, 13))
+    assert res.ret == sum(range(1, 13)) == 78
     mem = node.mem
     line0 = syms["f"] >> 6
     line1 = line0 + 1
-    assert line0 in mem.code_blocks
-    assert line0 in mem.block_deps.get(line1, set())
+    decode0 = mem.code_lines[line0]
+    assert line1 in mem.code_lines
     mem.write_u64(line1 << 6, mem.read_u64(line1 << 6) ^ 0xFF)
-    assert line0 not in mem.code_blocks   # anchor block died with its dep
-    assert line0 in mem.code_lines        # per-slot decode survives
-    assert line1 not in mem.block_deps
+    assert line1 not in mem.code_lines
+    assert mem.code_lines.get(line0) is decode0
 
 
 def test_refused_after_invalidation_still_correct():
-    vmmod.set_fusion(True)
     _, node, syms, vm = run(SPANNING, args=(0,))
     mem = node.mem
-    # clobber then restore the extension line: forces a full re-fuse
+    # clobber then restore the second line: forces a full re-decode
     raw = mem.read_u64((syms["f"] >> 6 << 6) + 64)
     mem.write_u64((syms["f"] >> 6 << 6) + 64, raw ^ 0xFF)
     mem.write_u64((syms["f"] >> 6 << 6) + 64, raw)
@@ -229,7 +152,7 @@ def test_refused_after_invalidation_still_correct():
 
 
 # ---------------------------------------------------------------------------
-# computed jumps into the middle of a fused block
+# computed jumps into the interior of a line
 # ---------------------------------------------------------------------------
 
 JUMP_MID = """
@@ -251,25 +174,21 @@ indirect:
 
 
 def test_computed_jump_into_block_interior():
-    # Second pass enters at `mid`, an interior slot of the run fused
-    # from `head`: suffix fusion must serve it a correct (shorter)
-    # block, not replay from the head.
-    fused, plain = both_modes(JUMP_MID)
-    assert fused == plain
-    assert fused[0] == "ok" and fused[1] == 1 + 10 + 10
+    # Second pass enters at `mid`, an interior slot of the straight run
+    # from `head`: execution must resume there, not replay from `head`.
+    assert outcome(JUMP_MID)[:2] == ("ok", 1 + 10 + 10)
 
 
-def test_misaligned_computed_jump_identical_across_modes():
+def test_misaligned_computed_jump_same_on_every_run():
     # pc & 7 != 0 can only come from a computed jump; the VM decodes it
     # via the uncached misaligned path.  Whatever it does (execute the
-    # overlapping bytes or fault), it must do it identically either way.
+    # overlapping bytes or fault), it must do it identically every run.
     src = JUMP_MID.replace("jr t2", "addi t2, t2, 4\n    jr t2")
-    fused, plain = both_modes(src)
-    assert fused == plain
+    assert outcome(src) == outcome(src)
 
 
 # ---------------------------------------------------------------------------
-# fault pc exactness inside fused blocks
+# fault pc exactness inside a straight run
 # ---------------------------------------------------------------------------
 
 DIV_FAULT = """
@@ -283,24 +202,17 @@ f:
 
 
 def test_fault_pc_is_exact_inside_fused_block():
-    vmmod.set_fusion(True)
     om = assemble(DIV_FAULT)
     _, node = fresh_node()
     vm = Vm(node)
     syms = raw_load(node, om)
     with pytest.raises(VmFault, match="division by zero") as exc:
         vm.call(syms["f"])
-    assert exc.value.pc == syms["f"] + 24  # the div, not the block head
-
-
-def test_fault_identical_across_modes():
-    fused, plain = both_modes(DIV_FAULT)
-    assert fused == plain
-    assert fused[0] == "fault"
+    assert exc.value.pc == syms["f"] + 24  # the div, not the line head
 
 
 # ---------------------------------------------------------------------------
-# max_steps: bulk retirement must not overshoot the limit
+# max_steps: the limit faults at the exact instruction count
 # ---------------------------------------------------------------------------
 
 TEN_PLUS_RET = "f:\n" + "\n".join(
@@ -308,9 +220,8 @@ TEN_PLUS_RET = "f:\n" + "\n".join(
 
 
 def test_max_steps_exact_at_boundary():
-    # 10 addi + ret = 11 steps.  Exactly 11 succeeds; the fused block
-    # (all 10 addi) must not push steps past a limit of 10.
-    vmmod.set_fusion(True)
+    # 10 addi + ret = 11 steps.  Exactly 11 succeeds; a limit of 10
+    # faults at the ret.
     res, *_ = run(TEN_PLUS_RET, args=(0,), max_steps=11)
     assert res.ret == 10 and res.steps == 11
 
@@ -324,9 +235,8 @@ def test_max_steps_exact_at_boundary():
 
 
 def test_max_steps_mid_block_falls_back_to_stepping():
-    # A limit below the block length forces single-stepping; the fault
-    # pc pins the exact instruction where the limit hit.
-    vmmod.set_fusion(True)
+    # A limit inside the straight run: the fault pc pins the exact
+    # instruction where the limit hit.
     om = assemble(TEN_PLUS_RET)
     _, node = fresh_node()
     vm = Vm(node)
@@ -334,9 +244,3 @@ def test_max_steps_mid_block_falls_back_to_stepping():
     with pytest.raises(VmFault, match="step limit") as exc:
         vm.call(syms["f"], (0,), max_steps=7)
     assert exc.value.pc == syms["f"] + 56
-
-
-def test_max_steps_identical_across_modes():
-    for limit in (7, 10, 11):
-        fused, plain = both_modes(TEN_PLUS_RET, args=(0,), max_steps=limit)
-        assert fused == plain, f"max_steps={limit}"

@@ -93,10 +93,11 @@ class TestPrefetcher:
 class TestDma:
     def test_stash_places_lines_in_llc(self):
         h = make(stash=True)
+        moved = h.dram.lines_moved
         h.dma_write(0.0, 0x400000, 256, owner_core=0)
         assert all(h.llc.probe((0x400000 >> 6) + i) for i in range(4))
-        assert h.dma_stash_lines == 4
-        assert h.dma_dram_lines == 0
+        assert not h.llc.probe((0x400000 >> 6) + 4)  # exactly 4 lines
+        assert h.dram.lines_moved == moved  # none crossed the DRAM channel
 
     def test_nonstash_goes_to_dram_and_invalidates_llc(self):
         h = make(stash=False)

@@ -171,9 +171,10 @@ class TestPut:
 
     def test_nonstash_message_goes_to_dram(self):
         bed = make_bed(hier_cfg=HierarchyConfig(stash_enabled=False))
+        moved = bed.node1.hier.dram.lines_moved
         comp, node1, dst, _ = run_put(bed, size=256)
         assert not node1.hier.llc.probe(dst >> 6)
-        assert node1.hier.dma_dram_lines >= 4
+        assert node1.hier.dram.lines_moved == moved + 4
 
     @settings(max_examples=20, deadline=None)
     @given(size=st.integers(1, 8192))
